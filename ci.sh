@@ -2,8 +2,10 @@
 # Local CI gate: build, test, lint, format — exactly what a PR must pass.
 #
 #   ci.sh          full gate
-#   ci.sh --quick  fast sweep only: the `quick_`-prefixed subset of the
-#                  fault-injection matrix (cold crash matrix, truncation
+#   ci.sh --quick  fast sweep only: the pass manager's unit tests (with
+#                  the runner's jobs-invariance checks), the
+#                  `quick_`-prefixed subset of the fault-injection
+#                  matrix (cold crash matrix, truncation
 #                  boundaries, recovery counters, durability sync points),
 #                  of the observability suite (trace well-formedness,
 #                  report schema, metrics consistency, CLI contracts), and
@@ -44,6 +46,9 @@ depcheck_smoke() {
 }
 
 if [[ "${1:-}" == "--quick" ]]; then
+    # The pass manager's unit tests, including the pipeline runner's
+    # jobs-invariance checks (no pool vs a 4- and 1-worker pool).
+    cargo test -q -p sfcc-passes
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_

@@ -66,8 +66,9 @@ mod end_to_end {
         run_pipeline(
             &mut module,
             &pipeline,
-            &NeverSkip,
+            NeverSkip,
             sfcc_passes::RunOptions { verify_each: true },
+            None,
         );
         let program = link(&[module]).unwrap();
         run(&program, "main.main", args, VmOptions::default())

@@ -160,8 +160,9 @@ proptest! {
         run_pipeline(
             &mut module,
             &default_pipeline(),
-            &NeverSkip,
+            NeverSkip,
             RunOptions { verify_each: true },
+            None,
         );
         let opt_func = module.functions.pop().unwrap();
         let got_opt = vm_result(opt_func, &args);

@@ -83,8 +83,9 @@ fn bench_pipeline(c: &mut Criterion) {
                 run_pipeline(
                     &mut m,
                     &pipeline,
-                    &NeverSkip,
+                    NeverSkip,
                     RunOptions { verify_each: false },
+                    None,
                 )
             },
             BatchSize::SmallInput,

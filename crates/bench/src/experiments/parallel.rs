@@ -123,7 +123,10 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
             // process-global, so only the delta belongs to this run.
             let snap_before = sfcc_passes::snapshot_stats();
             let t = Instant::now();
-            let (optimized, _) = compiler.phase_optimize_jobs(&ir, point.jobs);
+            // Capped at the host's parallelism and the function count;
+            // a width of 1 runs inline on this thread.
+            let width = sfcc_pool::effective_jobs(point.jobs).min(ir.functions.len().max(1));
+            let (optimized, _) = sfcc_pool::scope(width, |ps| compiler.optimize(&ir, Some(ps)));
             point.optimize_ns = point.optimize_ns.min(t.elapsed().as_nanos() as u64);
             let snap = sfcc_passes::snapshot_stats().delta_since(&snap_before);
             // Deterministic per run; any repetition reports the same.

@@ -277,8 +277,9 @@ fn module_grain_cost(
             let trace = run_pipeline(
                 &mut ir,
                 &pipeline,
-                &oracle,
+                oracle,
                 RunOptions { verify_each: false },
+                None,
             );
             if count_cost {
                 total += trace

@@ -389,8 +389,8 @@ impl<'a> BuildSpec<'a> {
 
     /// Runs one restricted optimization batch per module of a wave on a
     /// single shared pool of `self.jobs` workers — capped at the host's
-    /// available parallelism, sequentially when that leaves one worker —
-    /// against the immutable session snapshot, parking each
+    /// available parallelism, inline on this thread when that leaves one
+    /// worker — against the immutable session snapshot, parking each
     /// stale function's artifact for the matching `optimizefn` execution to
     /// consume. Batches run *outside* any task scope: their resource
     /// accesses are deliberately unattributed (each `optimizefn` task notes
@@ -403,36 +403,27 @@ impl<'a> BuildSpec<'a> {
             return;
         }
         let compiler: &Compiler = self.compiler;
-        let mut results: Vec<Option<(sfcc_ir::Module, OptimizeOutcome)>> = Vec::new();
-        let width = sfcc_pool::effective_jobs(self.jobs);
-        if width <= 1 {
-            for batch in &batches {
-                results.push(Some(compiler.phase_optimize_restricted(&batch.ir, None)));
+        let slots: Vec<Mutex<Option<(sfcc_ir::Module, OptimizeOutcome)>>> =
+            batches.iter().map(|_| Mutex::new(None)).collect();
+        let mut order: Vec<usize> = (0..batches.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(batches[i].ir.functions.len()));
+        sfcc_pool::scope(sfcc_pool::effective_jobs(self.jobs), |ps| {
+            for &i in &order {
+                let batch = &batches[i];
+                let slots = &slots;
+                ps.spawn(move |ps| {
+                    let result = compiler.optimize(&batch.ir, Some(ps));
+                    *slots[i].lock().expect("batch slot poisoned") = Some(result);
+                });
             }
-        } else {
-            let slots: Vec<Mutex<Option<(sfcc_ir::Module, OptimizeOutcome)>>> =
-                batches.iter().map(|_| Mutex::new(None)).collect();
-            let mut order: Vec<usize> = (0..batches.len()).collect();
-            order.sort_by_key(|&i| std::cmp::Reverse(batches[i].ir.functions.len()));
-            sfcc_pool::scope(width, |ps| {
-                for &i in &order {
-                    let batch = &batches[i];
-                    let slots = &slots;
-                    ps.spawn(move |ps| {
-                        *slots[i].lock().unwrap() =
-                            Some(compiler.phase_optimize_restricted(&batch.ir, Some(ps)));
-                    });
-                }
-                // The scope drains every task before returning.
-            });
-            for slot in slots {
-                results.push(slot.into_inner().expect("batch slot poisoned"));
-            }
-        }
-        for (batch, result) in batches.into_iter().zip(results) {
-            let Some((optimized, outcome)) = result else {
-                continue;
-            };
+            // The scope drains every task before returning.
+        });
+        let results = slots.into_iter().map(|slot| {
+            slot.into_inner()
+                .expect("batch slot poisoned")
+                .expect("the scope ran every batch")
+        });
+        for (batch, (optimized, outcome)) in batches.into_iter().zip(results) {
             for f in &batch.stale {
                 let func = optimized
                     .function(f)
@@ -499,7 +490,7 @@ impl<'a> BuildSpec<'a> {
         } else if let Some(rest) = input.strip_prefix("state:") {
             match rest.split_once("::") {
                 Some((m, f)) => self.compiler.state_stamp_fn(m, f),
-                None => self.compiler.state_stamp(rest),
+                None => 0,
             }
         } else if let Some(rest) = input.strip_prefix("cas:") {
             match rest.split_once("::") {
@@ -562,7 +553,7 @@ impl<'a> BuildSpec<'a> {
         for func in closure.values() {
             ir.functions.push((**func).clone());
         }
-        let (optimized, outcome) = self.compiler.phase_optimize_restricted(&ir, None);
+        let (optimized, outcome) = self.compiler.optimize(&ir, None);
         let func = optimized
             .function(f)
             .cloned()

@@ -1,7 +1,7 @@
 //! The compiler session: front end → lowering → (skippable) pass pipeline →
 //! object code, with dormancy recording in stateful mode.
 
-use crate::config::{Config, Mode, OptLevel};
+use crate::config::{Config, OptLevel};
 use crate::fncache::{CacheStats, FunctionCache};
 use crate::persist::{self, RecoveryEvent};
 use crate::phases::{self, OptimizeOutcome};
@@ -15,11 +15,10 @@ use sfcc_passes::{
     RunOptions,
 };
 use sfcc_pool::PoolScope;
-use sfcc_state::{statefile, DecodeError, SkipPolicy, StateDb};
+use sfcc_state::{statefile, DecodeError, StateDb};
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Wall-clock time per compilation phase, in nanoseconds.
@@ -248,42 +247,33 @@ impl Compiler {
         source: &str,
         env: &ModuleEnv,
     ) -> Result<CompileOutput, CompileError> {
-        let options = RunOptions {
-            verify_each: self.config.verify_each,
-        };
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let cas = self.cas.as_ref();
-        let mode = self.config.mode;
-        let pipeline = &self.pipeline;
-        let state = &self.state;
+        let mut timings = PhaseTimings::default();
+        let (checked, frontend_ns) = phases::frontend(name, source, env)?;
+        timings.frontend_ns = frontend_ns;
+        let (ir, lower_ns) = phases::lower(&checked, env);
+        timings.lower_ns = lower_ns;
+
         let jobs = sfcc_pool::effective_jobs(self.config.jobs);
-        let (mut output, inserts) = if jobs > 1 {
-            sfcc_pool::scope(jobs, |ps| {
-                compile_unit(
-                    name,
-                    source,
-                    env,
-                    mode,
-                    pipeline,
-                    state,
-                    options,
-                    cache,
-                    cas,
-                    Some(ps),
-                )
-            })?
-        } else {
-            compile_unit(
-                name, source, env, mode, pipeline, state, options, cache, cas, None,
-            )?
-        };
-        self.apply_cache_inserts(inserts);
+        let (ir, outcome) = sfcc_pool::scope(jobs, |ps| self.optimize(&ir, Some(ps)));
+        timings.middle_ns = outcome.middle_ns;
+        timings.state_ns = outcome.state_ns;
+
+        let (object, backend_ns) = phases::codegen(&ir)?;
+        timings.backend_ns = backend_ns;
+
+        self.apply_cache_inserts(outcome.cache_inserts);
         if self.config.mode.is_stateful() {
             let t = Instant::now();
-            self.state.ingest(&output.trace, self.pipeline_hash);
-            output.timings.state_ns += t.elapsed().as_nanos() as u64;
+            self.state.ingest(&outcome.trace, self.pipeline_hash);
+            timings.state_ns += t.elapsed().as_nanos() as u64;
         }
-        Ok(output)
+        Ok(CompileOutput {
+            object,
+            ir,
+            interface: checked.interface,
+            trace: outcome.trace,
+            timings,
+        })
     }
 
     /// Hit/miss counters of the function-level IR cache.
@@ -353,91 +343,6 @@ impl Compiler {
         self.cas.as_ref().map(|c| c.honest_stamp(fn_ctx))
     }
 
-    /// Compiles several independent modules, possibly in parallel.
-    ///
-    /// Mirrors `make -jN` invoking several compiler processes against one
-    /// shared state directory: all units read the *same* state and cache
-    /// snapshots (they are independent, so ordering cannot matter), and the
-    /// resulting traces and cache entries are applied sequentially, in unit
-    /// order, afterwards.
-    ///
-    /// Module tasks and the function-level tasks they fan out into share
-    /// one [`sfcc_pool`] scope sized by [`Config::jobs`] (falling back to
-    /// the machine's core count) — no `jobs × functions` oversubscription.
-    ///
-    /// Units are `(module_name, source, env)` triples; results come back in
-    /// the same order.
-    pub fn compile_batch(
-        &mut self,
-        units: &[(&str, &str, &ModuleEnv)],
-        parallel: bool,
-    ) -> Vec<Result<CompileOutput, CompileError>> {
-        if !parallel || units.len() <= 1 {
-            return units
-                .iter()
-                .map(|(name, source, env)| self.compile(name, source, env))
-                .collect();
-        }
-
-        // Parallel pipelines run against immutable state/cache snapshots.
-        let options = RunOptions {
-            verify_each: self.config.verify_each,
-        };
-        let mode = self.config.mode;
-        let pipeline = &self.pipeline;
-        let state = &self.state;
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let cas = self.cas.as_ref();
-        let jobs = sfcc_pool::effective_jobs(if self.config.jobs > 1 {
-            self.config.jobs
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        });
-        type UnitResult =
-            Result<(CompileOutput, Vec<(Fingerprint, sfcc_ir::Function)>), CompileError>;
-        let slots: Vec<Mutex<Option<UnitResult>>> =
-            units.iter().map(|_| Mutex::new(None)).collect();
-        sfcc_pool::scope(jobs, |ps| {
-            for (i, (name, source, env)) in units.iter().enumerate() {
-                let slots = &slots;
-                ps.spawn(move |ps| {
-                    let r = compile_unit(
-                        name,
-                        source,
-                        env,
-                        mode,
-                        pipeline,
-                        state,
-                        options,
-                        cache,
-                        cas,
-                        Some(ps),
-                    );
-                    *slots[i].lock().unwrap() = Some(r);
-                });
-            }
-            // The scope drains every task before returning.
-        });
-        let mut results = Vec::with_capacity(units.len());
-        for slot in slots {
-            let unit = slot.into_inner().unwrap().expect("every unit task ran");
-            match unit {
-                Ok((output, inserts)) => {
-                    self.apply_cache_inserts(inserts);
-                    results.push(Ok(output));
-                }
-                Err(e) => results.push(Err(e)),
-            }
-        }
-
-        if self.config.mode.is_stateful() {
-            for result in results.iter().flatten() {
-                self.state.ingest(&result.trace, self.pipeline_hash);
-            }
-        }
-        results
-    }
-
     /// Applies deferred [`crate::OptimizeOutcome::cache_inserts`] to the
     /// session's function cache and publishes them to the shared store (a
     /// no-op when both are disabled). Callers invoke this at a
@@ -493,11 +398,6 @@ impl Compiler {
         self.state = StateDb::new();
     }
 
-    /// Replaces the skip policy, keeping accumulated state (for ablations).
-    pub fn set_policy(&mut self, policy: SkipPolicy) {
-        self.config.mode = Mode::Stateful(policy);
-    }
-
     // --- Phase-level API (engine tasks) -------------------------------
     //
     // Incremental engines (sfcc-buildsys's query tasks) call the pipeline
@@ -525,24 +425,16 @@ impl Compiler {
         phases::lower(checked, env)
     }
 
-    /// Phase 3: the (skippable) optimization pipeline (engine task
-    /// `optimize`), including function-cache lookup when the session has
-    /// one. Fresh cache entries are applied immediately. Does not ingest
-    /// the trace — pair with [`Compiler::ingest_trace`].
-    pub fn phase_optimize(&self, ir: &sfcc_ir::Module) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let (ir, mut outcome) = self.phase_optimize_with(ir, None);
-        self.apply_cache_inserts(outcome.cache_inserts.drain(..));
-        (ir, outcome)
-    }
-
-    /// [`Compiler::phase_optimize`] against immutable session snapshots,
-    /// optionally fanning function-level tasks out into `pool`: no
-    /// ingestion, no cache population — the returned
-    /// [`OptimizeOutcome::cache_inserts`] are the caller's to apply at a
-    /// deterministic boundary ([`Compiler::apply_cache_inserts`]). Safe to
-    /// call from worker threads compiling independent modules of one wave
-    /// in parallel.
-    pub fn phase_optimize_with<'env>(
+    /// Phase 3: the (skippable) optimization pipeline, including
+    /// function-cache and shared-store lookup when the session has them —
+    /// on `pool`'s workers at function granularity when one is supplied.
+    /// Reads the frozen skip state ([`Compiler::freeze_state`]) when one is
+    /// active and mutates nothing: no ingestion, no cache population. The
+    /// returned [`OptimizeOutcome::cache_inserts`] are the caller's to
+    /// apply at a deterministic boundary ([`Compiler::apply_cache_inserts`]),
+    /// so this is safe to call from worker threads optimizing independent
+    /// modules of one wave in parallel.
+    pub fn optimize<'env>(
         &'env self,
         ir: &sfcc_ir::Module,
         pool: Option<&PoolScope<'env>>,
@@ -563,65 +455,6 @@ impl Compiler {
             pool,
         );
         (ir, outcome)
-    }
-
-    /// [`Compiler::phase_optimize_with`] for a *restricted* module — one
-    /// carrying only the call closure of the functions actually demanded
-    /// (engine task `optimizefn`). Identical pipeline semantics; the only
-    /// difference is depcheck attribution: the state read is noted per
-    /// function (`state:m::f`), matching the per-function inputs the
-    /// function-grained optimize tasks record.
-    pub fn phase_optimize_restricted<'env>(
-        &'env self,
-        ir: &sfcc_ir::Module,
-        pool: Option<&PoolScope<'env>>,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let options = RunOptions {
-            verify_each: self.config.verify_each,
-        };
-        let cache = self.config.function_cache.then_some(&self.fn_cache);
-        let mut ir = ir.clone();
-        let outcome = phases::optimize_fn_grained(
-            &mut ir,
-            self.config.mode,
-            &self.pipeline,
-            self.skip_state(),
-            options,
-            cache,
-            self.cas.as_ref(),
-            pool,
-        );
-        (ir, outcome)
-    }
-
-    /// [`Compiler::phase_optimize_with`] on a fresh pool of `jobs` workers
-    /// (capped at the function count and the host's available parallelism;
-    /// `jobs <= 1` stays on the calling thread). For callers that are not
-    /// already inside a pool scope.
-    pub fn phase_optimize_jobs(
-        &self,
-        ir: &sfcc_ir::Module,
-        jobs: usize,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let jobs = sfcc_pool::effective_jobs(jobs).min(ir.functions.len().max(1));
-        if jobs <= 1 {
-            return self.phase_optimize_with(ir, None);
-        }
-        sfcc_pool::scope(jobs, |ps| self.phase_optimize_with(ir, Some(ps)))
-    }
-
-    /// [`Compiler::phase_optimize_restricted`] on a fresh pool of `jobs`
-    /// workers (same clamping as [`Compiler::phase_optimize_jobs`]).
-    pub fn phase_optimize_restricted_jobs(
-        &self,
-        ir: &sfcc_ir::Module,
-        jobs: usize,
-    ) -> (sfcc_ir::Module, OptimizeOutcome) {
-        let jobs = sfcc_pool::effective_jobs(jobs).min(ir.functions.len().max(1));
-        if jobs <= 1 {
-            return self.phase_optimize_restricted(ir, None);
-        }
-        sfcc_pool::scope(jobs, |ps| self.phase_optimize_restricted(ir, Some(ps)))
     }
 
     /// The state skip decisions read from: the frozen session snapshot when
@@ -649,22 +482,11 @@ impl Compiler {
         self.session_bumped.clear();
     }
 
-    /// Folds one pipeline trace into the dormancy state (stateful mode;
-    /// a no-op otherwise). Returns the time spent (ns).
-    pub fn ingest_trace(&mut self, trace: &PipelineTrace) -> u64 {
-        if !self.config.mode.is_stateful() {
-            return 0;
-        }
-        let t = Instant::now();
-        self.state.ingest(trace, self.pipeline_hash);
-        t.elapsed().as_nanos() as u64
-    }
-
     /// Folds one *function's* trace into the dormancy state (stateful mode;
     /// a no-op otherwise), leaving every sibling record untouched. The
     /// module's build counter is bumped once per frozen session — the first
     /// per-function ingest for a module performs the same single bump a
-    /// whole-module [`Compiler::ingest_trace`] would, so streak/window
+    /// whole-module ingest ([`StateDb::ingest`]) would, so streak/window
     /// bookkeeping is identical either way. Returns the time spent (ns).
     pub fn ingest_function_trace(&mut self, module: &str, ftrace: &FunctionTrace) -> u64 {
         if !self.config.mode.is_stateful() {
@@ -698,28 +520,10 @@ impl Compiler {
     }
 
     /// A deterministic stamp of everything that steers skip decisions for
-    /// `module`: the mode (policy), the pipeline, and the module's dormancy
-    /// records. Incremental engines record this as a tracked input of the
-    /// optimize task, so stale skip state invalidates exactly the modules
-    /// it would affect.
-    pub fn state_stamp(&self, module: &str) -> u64 {
-        let mut repr = format!(
-            "mode={};pipeline={:x};",
-            self.config.mode.label(),
-            self.pipeline_hash.0
-        );
-        if self.config.mode.is_stateful() {
-            match self.state.module(module) {
-                Some(state) => repr.push_str(&format!("state={:x}", state.content_stamp())),
-                None => repr.push_str("state=absent"),
-            }
-        }
-        fnv64(repr.as_bytes())
-    }
-
-    /// Per-function variant of [`Compiler::state_stamp`]: a deterministic
-    /// stamp of everything that steers skip decisions for one function —
-    /// mode, pipeline, and *that function's* dormancy record only. Always
+    /// one function — mode, pipeline, and *that function's* dormancy record
+    /// only. Incremental engines record it as a tracked input of the
+    /// function's optimize task, so stale skip state invalidates exactly the
+    /// functions it would affect. Always
     /// reads the live database: the function-grained optimize task records
     /// this stamp immediately after its own ingest, and sibling ingests
     /// never touch the record, so the stamp the next session recomputes at
@@ -739,51 +543,6 @@ impl Compiler {
         }
         fnv64(repr.as_bytes())
     }
-}
-
-/// Compiles one module end to end against immutable state/cache snapshots
-/// (no ingestion, no cache population — fresh cache entries are returned
-/// for the caller to apply), by composing the phase functions of
-/// [`crate::phases`].
-#[allow(clippy::too_many_arguments)]
-fn compile_unit<'env>(
-    name: &str,
-    source: &str,
-    env: &ModuleEnv,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> Result<(CompileOutput, Vec<(Fingerprint, sfcc_ir::Function)>), CompileError> {
-    let mut timings = PhaseTimings::default();
-
-    let (checked, frontend_ns) = phases::frontend(name, source, env)?;
-    timings.frontend_ns = frontend_ns;
-    let interface = checked.interface.clone();
-
-    let (mut ir, lower_ns) = phases::lower(&checked, env);
-    timings.lower_ns = lower_ns;
-
-    let outcome = phases::optimize(&mut ir, mode, pipeline, state, options, cache, cas, pool);
-    timings.middle_ns = outcome.middle_ns;
-    timings.state_ns += outcome.state_ns;
-
-    let (object, backend_ns) = phases::codegen(&ir)?;
-    timings.backend_ns = backend_ns;
-
-    Ok((
-        CompileOutput {
-            object,
-            ir,
-            interface,
-            trace: outcome.trace,
-            timings,
-        },
-        outcome.cache_inserts,
-    ))
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@
 //! re-run optimize+codegen without re-running the frontend of anything
 //! else — so each phase lives here as a free function over explicit state,
 //! and the session type re-exposes them as task-callable methods
-//! (`Compiler::phase_*`). `compile` is a composition of these functions;
-//! there is exactly one implementation of every phase.
+//! (`Compiler::phase_frontend`, `phase_lower`, `optimize`,
+//! `phase_codegen`). `compile` is a composition of these methods; there is
+//! exactly one implementation of every phase.
 
 use crate::config::Mode;
 use crate::fncache::{context_fingerprints, FunctionCache};
@@ -16,8 +17,7 @@ use sfcc_cas::CasStore;
 use sfcc_frontend::{CheckedModule, Diagnostics, ModuleEnv, SourceFile};
 use sfcc_ir::{Fingerprint, Function};
 use sfcc_passes::{
-    run_pipeline, run_pipeline_parallel, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions,
-    SkipOracle,
+    run_pipeline, NeverSkip, PassQuery, Pipeline, PipelineTrace, RunOptions, SkipOracle,
 };
 use sfcc_pool::{run_indexed, PoolScope};
 use sfcc_state::{DbOracle, StateDb};
@@ -92,55 +92,6 @@ impl SkipOracle for CacheHits<'_> {
     }
 }
 
-/// Runs the optimization pipeline over `ir` in place: function-cache
-/// lookup (when a cache is supplied), skip-oracle construction from the
-/// dormancy state, and the pass pipeline itself — on `pool`'s workers at
-/// function granularity when one is supplied. Does **not** ingest the trace
-/// or populate the cache — recording dormancy and applying
-/// [`OptimizeOutcome::cache_inserts`] are the caller's (sequenced)
-/// responsibility, so this function can run against immutable state and
-/// cache snapshots on worker threads.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize<'env>(
-    ir: &mut sfcc_ir::Module,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> OptimizeOutcome {
-    // The dormancy state is a tracked input of the optimize task
-    // (`state:m`); this is its actual read, noted for depcheck attribution
-    // in both modes — stateless builds consult the state to decide *not*
-    // to skip, which is still an observation of it.
-    sfcc_faultfs::note_access(&format!("state:{}", ir.name));
-    optimize_prenoted(ir, mode, pipeline, state, options, cache, cas, pool)
-}
-
-/// [`optimize`] for a *restricted* module (one carrying only the demanded
-/// functions' call closure): identical pipeline semantics, but **no**
-/// module-level `state:m` access note. Function-grained callers attribute
-/// the dormancy-state read per function (`state:m::f`) themselves, inside
-/// each function's own task scope — a batch restricted run executes outside
-/// any task scope, so a note emitted here would either be unattributed
-/// (batched) or mis-attributed to whichever task happened to be active
-/// (solo), and depcheck would flag phantom context-function reads.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_fn_grained<'env>(
-    ir: &mut sfcc_ir::Module,
-    mode: Mode,
-    pipeline: &'env Pipeline,
-    state: &'env StateDb,
-    options: RunOptions,
-    cache: Option<&'env FunctionCache>,
-    cas: Option<&'env CasStore>,
-    pool: Option<&PoolScope<'env>>,
-) -> OptimizeOutcome {
-    optimize_prenoted(ir, mode, pipeline, state, options, cache, cas, pool)
-}
-
 /// How a function's pre-pipeline lookup resolved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LookupHit {
@@ -153,8 +104,22 @@ enum LookupHit {
     Shared,
 }
 
+/// Runs the optimization pipeline over `ir` in place: function-cache
+/// lookup (when a cache is supplied), skip-oracle construction from the
+/// dormancy state, and the pass pipeline itself — on `pool`'s workers at
+/// function granularity when one is supplied. Does **not** ingest the trace
+/// or populate the cache — recording dormancy and applying
+/// [`OptimizeOutcome::cache_inserts`] are the caller's (sequenced)
+/// responsibility, so this function can run against immutable state and
+/// cache snapshots on worker threads.
+///
+/// Makes no resource-access note for the dormancy state: the
+/// function-grained `optimizefn` task notes its own per-function read
+/// (`state:m::f`) inside its task scope, while this function may run
+/// outside any task scope (batched ahead of demand) where a note would be
+/// unattributed or mis-attributed.
 #[allow(clippy::too_many_arguments)]
-fn optimize_prenoted<'env>(
+pub fn optimize<'env>(
     ir: &mut sfcc_ir::Module,
     mode: Mode,
     pipeline: &'env Pipeline,
@@ -224,10 +189,7 @@ fn optimize_prenoted<'env>(
             inner: base,
         })
     };
-    let trace = match pool {
-        Some(pool) => run_pipeline_parallel(ir, pipeline, oracle, options, pool),
-        None => run_pipeline(ir, pipeline, oracle.as_ref(), options),
-    };
+    let trace = run_pipeline(ir, pipeline, oracle, options, pool);
     let middle_ns = t.elapsed().as_nanos() as u64;
 
     // Collect cacheable functions for the caller to insert at the next

@@ -13,23 +13,33 @@
 //!   thread is attributed to the task that spawned it — mirroring how
 //!   `sfcc_trace` propagates span contexts;
 //! * a **process-global access log** ([`record_accesses`] /
-//!   [`note_access`]): while a recording guard is alive, every noted
-//!   logical-resource access is appended as an [`AccessRecord`] tagged
-//!   with the calling thread's active task. The log is global (not
+//!   [`note_access`]): while a recording guard is alive, every access
+//!   noted *by its recording session* is appended as an [`AccessRecord`]
+//!   tagged with the calling thread's active task. The log is global (not
 //!   thread-local) precisely because pool workers access resources on
 //!   behalf of tasks; an install lock serializes concurrent recorders the
 //!   same way `sfcc_trace::install` does.
 //!
+//! A recorder belongs to one session: the thread that installs it, plus
+//! every thread that enters a [`TaskCtx`] captured inside it (the session
+//! id travels with the task label across pool spawns). Accesses noted by
+//! other sessions — an unaudited build running concurrently in the same
+//! process, another daemon session — are not recorded, so they can never
+//! be charged to a task of the audited build that happens to share its
+//! label.
+//!
 //! When no recorder is installed, [`note_access`] is one relaxed atomic
 //! load — recording sites stay in the hot path unconditionally.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 thread_local! {
     /// Stack of active task labels on this thread; the top attributes.
     static TASK_STACK: RefCell<Vec<Arc<str>>> = const { RefCell::new(Vec::new()) };
+    /// The recording session this thread works for; 0 is none.
+    static SESSION: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Pushes `label` as the thread's active task until the guard drops.
@@ -60,27 +70,39 @@ pub fn active_task() -> Option<String> {
     TASK_STACK.with(|s| s.borrow().last().map(|l| l.to_string()))
 }
 
-/// A cloneable snapshot of the calling thread's task context, for carrying
-/// attribution across thread boundaries (a pool `spawn`). Entering an empty
-/// context is free and changes nothing.
+/// A cloneable snapshot of the calling thread's task context and recording
+/// session, for carrying attribution across thread boundaries (a pool
+/// `spawn`). Entering an empty context is free and changes nothing.
 #[derive(Debug, Clone)]
-pub struct TaskCtx(Option<Arc<str>>);
+pub struct TaskCtx {
+    label: Option<Arc<str>>,
+    session: u64,
+}
 
 /// Captures the calling thread's current task context.
 pub fn current_task() -> TaskCtx {
-    TaskCtx(TASK_STACK.with(|s| s.borrow().last().cloned()))
+    TaskCtx {
+        label: TASK_STACK.with(|s| s.borrow().last().cloned()),
+        session: SESSION.with(Cell::get),
+    }
 }
 
 impl TaskCtx {
-    /// Makes this context the thread's active task until the guard drops.
+    /// Makes this context the thread's active task (and recording session)
+    /// until the guard drops.
     #[must_use = "the task context pops when the guard drops"]
     pub fn enter(&self) -> TaskCtxGuard {
-        match &self.0 {
+        let pushed = match &self.label {
             Some(label) => {
                 TASK_STACK.with(|s| s.borrow_mut().push(Arc::clone(label)));
-                TaskCtxGuard { pushed: true }
+                true
             }
-            None => TaskCtxGuard { pushed: false },
+            None => false,
+        };
+        let prev_session = (self.session != 0).then(|| SESSION.with(|s| s.replace(self.session)));
+        TaskCtxGuard {
+            pushed,
+            prev_session,
         }
     }
 }
@@ -89,6 +111,7 @@ impl TaskCtx {
 #[derive(Debug)]
 pub struct TaskCtxGuard {
     pushed: bool,
+    prev_session: Option<u64>,
 }
 
 impl Drop for TaskCtxGuard {
@@ -97,6 +120,9 @@ impl Drop for TaskCtxGuard {
             TASK_STACK.with(|s| {
                 s.borrow_mut().pop();
             });
+        }
+        if let Some(prev) = self.prev_session {
+            SESSION.with(|s| s.set(prev));
         }
     }
 }
@@ -112,7 +138,9 @@ pub struct AccessRecord {
     pub resource: String,
 }
 
-static ACCESS_ENABLED: AtomicBool = AtomicBool::new(false);
+/// Session id of the installed recorder; 0 when none is installed.
+static ACCESS_SESSION: AtomicU64 = AtomicU64::new(0);
+static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
 static ACCESS_INSTALL: Mutex<()> = Mutex::new(());
 static ACCESS_LOG: Mutex<Vec<AccessRecord>> = Mutex::new(Vec::new());
 
@@ -120,21 +148,28 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Installs the process-global access recorder. Holds a static install lock
-/// for the guard's lifetime, so concurrent recorders (parallel tests)
-/// serialize instead of mixing logs. Dropping the guard stops recording and
-/// clears the log.
+/// Installs the process-global access recorder for a new session owned by
+/// the calling thread. Holds a static install lock for the guard's
+/// lifetime, so concurrent recorders (parallel tests) serialize instead of
+/// mixing logs. Dropping the guard stops recording, clears the log and
+/// restores the thread's previous session.
 #[must_use = "recording stops when the guard drops"]
 pub fn record_accesses() -> AccessLogGuard {
     let guard = ACCESS_INSTALL.lock().unwrap_or_else(|e| e.into_inner());
     lock(&ACCESS_LOG).clear();
-    ACCESS_ENABLED.store(true, Ordering::SeqCst);
-    AccessLogGuard { _guard: guard }
+    let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
+    let prev_session = SESSION.with(|s| s.replace(session));
+    ACCESS_SESSION.store(session, Ordering::SeqCst);
+    AccessLogGuard {
+        _guard: guard,
+        prev_session,
+    }
 }
 
 /// Owner of the installed access recorder; see [`record_accesses`].
 pub struct AccessLogGuard {
     _guard: MutexGuard<'static, ()>,
+    prev_session: u64,
 }
 
 impl AccessLogGuard {
@@ -147,16 +182,20 @@ impl AccessLogGuard {
 
 impl Drop for AccessLogGuard {
     fn drop(&mut self) {
-        ACCESS_ENABLED.store(false, Ordering::SeqCst);
+        ACCESS_SESSION.store(0, Ordering::SeqCst);
+        SESSION.with(|s| s.set(self.prev_session));
         lock(&ACCESS_LOG).clear();
     }
 }
 
 /// Notes a logical-resource access, attributed to the calling thread's
-/// active task. One relaxed atomic load when no recorder is installed.
+/// active task. Recorded only when the calling thread works for the
+/// installed recorder's session. One relaxed atomic load when no recorder
+/// is installed.
 #[inline]
 pub fn note_access(resource: &str) {
-    if !ACCESS_ENABLED.load(Ordering::Relaxed) {
+    let session = ACCESS_SESSION.load(Ordering::Relaxed);
+    if session == 0 || SESSION.with(Cell::get) != session {
         return;
     }
     lock(&ACCESS_LOG).push(AccessRecord {
@@ -211,6 +250,37 @@ mod tests {
                 },
             ]
         );
+    }
+
+    #[test]
+    fn accesses_of_other_sessions_are_not_recorded() {
+        let rec = record_accesses();
+        let ctx = {
+            let _scope = task_scope("optimizefn(base::g)");
+            current_task()
+        };
+        std::thread::scope(|s| {
+            // A concurrent, unaudited build: same task label, no session.
+            s.spawn(|| {
+                let _scope = task_scope("optimizefn(base::g)");
+                note_access("cas:base::g");
+            });
+            // Work spawned by the audited session keeps its session.
+            s.spawn(|| {
+                let _enter = ctx.enter();
+                note_access("state:base::g");
+            });
+        });
+        assert_eq!(
+            rec.take(),
+            vec![AccessRecord {
+                task: Some("optimizefn(base::g)".into()),
+                resource: "state:base::g".into()
+            }]
+        );
+        drop(rec);
+        // The installing thread leaves the session with the guard.
+        assert_eq!(SESSION.with(Cell::get), 0);
     }
 
     #[test]

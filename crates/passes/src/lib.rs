@@ -3,18 +3,20 @@
 //! Optimization passes and the instrumented pass manager of the `sfcc`
 //! stateful compiler.
 //!
-//! Every pass reports whether it changed the IR; the pass manager
-//! ([`manager::run_pipeline`]) records each execution as *active* or
+//! Every pass reports whether it changed the IR; the pass manager's one
+//! runner ([`run_pipeline`]) records each execution as *active* or
 //! *dormant* and consults a [`SkipOracle`] before running each pass — the
 //! hook through which the stateful compiler (crate `sfcc`) bypasses passes
 //! that were dormant in previous builds, reproducing the mechanism of
 //! *"Enabling Fine-Grained Incremental Builds by Making Compiler Stateful"*
-//! (CGO 2024).
+//! (CGO 2024). The runner takes an optional worker pool: without one it
+//! runs on the calling thread, with one it fans functions out in
+//! cost-balanced batches, and the result is byte-identical either way.
 //!
 //! # Examples
 //!
 //! ```
-//! use sfcc_passes::{default_pipeline, manager::{run_pipeline, NeverSkip, RunOptions}};
+//! use sfcc_passes::{default_pipeline, run_pipeline, NeverSkip, RunOptions};
 //!
 //! let f = sfcc_ir::parse_function(r"
 //! fn @f(i64) -> i64 {
@@ -28,7 +30,7 @@
 //! module.add_function(f);
 //!
 //! let pipeline = default_pipeline();
-//! let trace = run_pipeline(&mut module, &pipeline, &NeverSkip, RunOptions::default());
+//! let trace = run_pipeline(&mut module, &pipeline, NeverSkip, RunOptions::default(), None);
 //! let (active, dormant, skipped) = trace.outcome_totals();
 //! assert!(active >= 1);      // instcombine fired
 //! assert!(dormant > active); // most passes had nothing to do
@@ -61,10 +63,10 @@ pub mod util;
 use sfcc_ir::{Function, ModuleSnapshot};
 
 pub use manager::{
-    run_pipeline, FunctionTrace, NeverSkip, PassOutcome, PassQuery, PassRecord, Pipeline,
-    PipelineTrace, RunOptions, SkipOracle,
+    FunctionTrace, NeverSkip, PassOutcome, PassQuery, PassRecord, Pipeline, PipelineTrace,
+    RunOptions, SkipOracle,
 };
-pub use parallel::run_pipeline_parallel;
+pub use parallel::run_pipeline;
 pub use snapstats::{snapshot_stats, SnapshotStats};
 
 /// A function transformation.
@@ -190,7 +192,7 @@ pub fn scalar_pipeline() -> Pipeline {
 #[cfg(test)]
 mod pipeline_tests {
     use super::*;
-    use manager::{run_pipeline, NeverSkip, RunOptions};
+    use manager::{NeverSkip, RunOptions};
     use sfcc_frontend::{parse_and_check, Diagnostics, ModuleEnv};
     use sfcc_ir::Module;
 
@@ -203,8 +205,9 @@ mod pipeline_tests {
         let trace = run_pipeline(
             &mut module,
             &pipeline,
-            &NeverSkip,
+            NeverSkip,
             RunOptions { verify_each: true },
+            None,
         );
         sfcc_ir::verify_module(&module).unwrap();
         (module, trace)
@@ -314,8 +317,9 @@ fn f(n: int) -> int {
         run_pipeline(
             &mut module,
             &minimal_pipeline(),
-            &NeverSkip,
+            NeverSkip,
             RunOptions { verify_each: true },
+            None,
         );
         let text = module.to_string();
         assert!(!text.contains("alloca"), "{text}");
@@ -350,13 +354,13 @@ fn f(n: int) -> int {
         let mut module = sfcc_ir::lower_module(&checked, &ModuleEnv::new());
         let pipeline = default_pipeline();
         let opts = RunOptions { verify_each: true };
-        let first = run_pipeline(&mut module, &pipeline, &NeverSkip, opts)
+        let first = run_pipeline(&mut module, &pipeline, NeverSkip, opts, None)
             .outcome_totals()
             .0;
-        let second = run_pipeline(&mut module, &pipeline, &NeverSkip, opts)
+        let second = run_pipeline(&mut module, &pipeline, NeverSkip, opts, None)
             .outcome_totals()
             .0;
-        let third = run_pipeline(&mut module, &pipeline, &NeverSkip, opts)
+        let third = run_pipeline(&mut module, &pipeline, NeverSkip, opts, None)
             .outcome_totals()
             .0;
         assert!(

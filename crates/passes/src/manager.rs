@@ -4,10 +4,12 @@
 //! execution is recorded as **active** (it changed the IR) or **dormant** (it
 //! ran and changed nothing), and before each execution a [`SkipOracle`] —
 //! implemented by the `sfcc-state` crate from previous builds' dormancy
-//! records — may decide to *skip* the pass entirely.
+//! records — may decide to *skip* the pass entirely. This module holds the
+//! records, the oracle interface and the pipeline shape; the one runner,
+//! [`crate::run_pipeline`], lives in [`crate::parallel`].
 
 use crate::Pass;
-use sfcc_ir::{fingerprint, verify_function, Fingerprint, Function, Module, ModuleSnapshot};
+use sfcc_ir::{Fingerprint, Function, ModuleSnapshot};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,7 +93,7 @@ pub struct PipelineTrace {
     /// One trace per function, in module order.
     pub functions: Vec<FunctionTrace>,
     /// Module snapshots taken during this run (pipeline entry + every
-    /// re-snapshot stage). Identical across sequential and parallel runners.
+    /// re-snapshot stage after the first). Identical for every pool width.
     pub snapshot_clones: u64,
     /// Σ live instruction count over the functions actually deep-cloned
     /// into snapshots — the deterministic cost proxy for snapshot overhead.
@@ -101,11 +103,11 @@ pub struct PipelineTrace {
     pub snapshot_cost_units: u64,
     /// Functions whose previous snapshot `Arc` was reused at a re-snapshot
     /// instead of deep-cloned — the copy-on-write savings. Deterministic
-    /// and identical across runners and `--jobs` values.
+    /// and identical for every `--jobs` value.
     pub snapshot_reused: u64,
-    /// Cost-balanced batches planned across all stages (the parallel
-    /// runner's fan-out unit; the sequential runner computes the identical
-    /// plan so the counter is `--jobs`-invariant).
+    /// Cost-balanced batches planned across all stages — the runner's
+    /// fan-out unit. The plan ignores the worker count, so the counter is
+    /// `--jobs`-invariant.
     pub batch_count: u64,
     /// Largest single-batch total cost (live instructions) planned by any
     /// stage of this run.
@@ -172,6 +174,13 @@ pub struct NeverSkip;
 impl SkipOracle for NeverSkip {
     fn should_skip(&self, _query: &PassQuery<'_>) -> bool {
         false
+    }
+}
+
+/// A shared oracle answers as the oracle it wraps.
+impl<T: SkipOracle + ?Sized> SkipOracle for Arc<T> {
+    fn should_skip(&self, query: &PassQuery<'_>) -> bool {
+        (**self).should_skip(query)
     }
 }
 
@@ -246,128 +255,6 @@ impl Default for RunOptions {
     }
 }
 
-/// Runs `pipeline` over every function of `module`, consulting `oracle`
-/// before each pass execution, and returns the full instrumentation trace.
-///
-/// # Panics
-///
-/// Panics if [`RunOptions::verify_each`] is set and a pass produces invalid
-/// IR — that is a compiler bug, not an input error.
-pub fn run_pipeline(
-    module: &mut Module,
-    pipeline: &Pipeline,
-    oracle: &dyn SkipOracle,
-    options: RunOptions,
-) -> PipelineTrace {
-    let mut trace = PipelineTrace {
-        module: module.name.clone(),
-        functions: Vec::new(),
-        snapshot_clones: 0,
-        snapshot_cost_units: 0,
-        snapshot_reused: 0,
-        batch_count: 0,
-        batch_max_cost: 0,
-    };
-    for (idx, f) in module.functions.iter().enumerate() {
-        let _ = idx;
-        trace.functions.push(FunctionTrace {
-            function: f.name.clone(),
-            entry_fingerprint: fingerprint(f),
-            exit_fingerprint: Fingerprint::default(),
-            records: Vec::new(),
-        });
-    }
-
-    // Copy-on-write dirty bits: set when any pass changes a function, so a
-    // re-snapshot deep-clones only what actually moved since the last one.
-    let mut dirty = vec![false; module.functions.len()];
-    let mut snapshot = {
-        let funcs: Vec<&Function> = module.functions.iter().collect();
-        let (snapshot, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, None);
-        trace.snapshot_clones += 1;
-        trace.snapshot_cost_units += cost;
-        trace.snapshot_reused += reused;
-        snapshot
-    };
-    let mut slot_base = 0usize;
-    for stage in &pipeline.stages {
-        if stage.resnapshot {
-            let funcs: Vec<&Function> = module.functions.iter().collect();
-            let (snap, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, Some(&snapshot));
-            snapshot = snap;
-            trace.snapshot_clones += 1;
-            trace.snapshot_cost_units += cost;
-            trace.snapshot_reused += reused;
-            dirty.fill(false);
-        }
-        // Plan (but do not use) the stage's cost-balanced batches: the
-        // parallel runner fans out by this plan, and computing the identical
-        // plan here keeps the batch counters — and every trace derived from
-        // them — byte-identical between runners and across `--jobs`.
-        let costs: Vec<u64> = module
-            .functions
-            .iter()
-            .map(|f| f.live_inst_count() as u64)
-            .collect();
-        let plan = crate::batch::plan_batches(&costs);
-        trace.batch_count += plan.batches.len() as u64;
-        trace.batch_max_cost = trace.batch_max_cost.max(plan.max_cost);
-        for (func_idx, dirty_bit) in dirty.iter_mut().enumerate() {
-            for (pass_idx, pass) in stage.passes.iter().enumerate() {
-                let slot = slot_base + pass_idx;
-                let func = &mut module.functions[func_idx];
-                let ftrace = &mut trace.functions[func_idx];
-                let query = PassQuery {
-                    module: &snapshot.name,
-                    function: &ftrace.function,
-                    entry_fingerprint: ftrace.entry_fingerprint,
-                    pass: pass.name(),
-                    slot,
-                };
-                if oracle.should_skip(&query) {
-                    ftrace.records.push(PassRecord {
-                        pass: pass.name().to_string(),
-                        slot,
-                        outcome: PassOutcome::Skipped,
-                        nanos: 0,
-                        cost_units: func.live_inst_count() as u64,
-                    });
-                    continue;
-                }
-                let cost_units = func.live_inst_count() as u64;
-                let start = Instant::now();
-                let changed = pass.run(func, &snapshot);
-                let nanos = start.elapsed().as_nanos() as u64;
-                if changed {
-                    *dirty_bit = true;
-                }
-                if options.verify_each && changed {
-                    verify_function(func).unwrap_or_else(|e| {
-                        panic!("pass '{}' broke the IR: {e}\n{func}", pass.name())
-                    });
-                }
-                ftrace.records.push(PassRecord {
-                    pass: pass.name().to_string(),
-                    slot,
-                    outcome: if changed {
-                        PassOutcome::Active
-                    } else {
-                        PassOutcome::Dormant
-                    },
-                    nanos,
-                    cost_units,
-                });
-            }
-        }
-        slot_base += stage.passes.len();
-    }
-
-    for (f, ftrace) in module.functions.iter().zip(&mut trace.functions) {
-        ftrace.exit_fingerprint = fingerprint(f);
-    }
-    trace
-}
-
 /// Builds the next copy-on-write snapshot from the current function bodies:
 /// functions flagged `dirty` (changed by some pass since `prev` was taken)
 /// are deep-cloned into fresh `Arc`s, clean ones reuse `prev`'s `Arc`s at
@@ -411,7 +298,8 @@ pub(crate) fn cow_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfcc_ir::Function;
+    use crate::run_pipeline;
+    use sfcc_ir::{Function, Module};
 
     /// A test pass that increments a counter and optionally claims a change.
     struct Probe {
@@ -466,7 +354,7 @@ mod tests {
                 }),
             ],
         );
-        let trace = run_pipeline(&mut m, &pipeline, &NeverSkip, RunOptions::default());
+        let trace = run_pipeline(&mut m, &pipeline, NeverSkip, RunOptions::default(), None);
         let f = trace.function("f").unwrap();
         assert_eq!(f.records.len(), 2);
         assert_eq!(f.records[0].outcome, PassOutcome::Active);
@@ -491,7 +379,13 @@ mod tests {
                 }),
             ],
         );
-        let trace = run_pipeline(&mut m, &pipeline, &SkipByName("b"), RunOptions::default());
+        let trace = run_pipeline(
+            &mut m,
+            &pipeline,
+            SkipByName("b"),
+            RunOptions::default(),
+            None,
+        );
         let f = trace.function("f").unwrap();
         assert_eq!(f.records[1].outcome, PassOutcome::Skipped);
         assert_eq!(f.records[1].nanos, 0);
@@ -518,7 +412,7 @@ mod tests {
             );
         assert_eq!(pipeline.slot_names(), vec!["a", "b"]);
         assert_eq!(pipeline.slot_count(), 2);
-        let trace = run_pipeline(&mut m, &pipeline, &NeverSkip, RunOptions::default());
+        let trace = run_pipeline(&mut m, &pipeline, NeverSkip, RunOptions::default(), None);
         let f = trace.function("f").unwrap();
         assert_eq!(f.records[0].slot, 0);
         assert_eq!(f.records[1].slot, 1);
@@ -534,7 +428,7 @@ mod tests {
                 changes: true,
             })],
         );
-        let trace = run_pipeline(&mut m, &pipeline, &NeverSkip, RunOptions::default());
+        let trace = run_pipeline(&mut m, &pipeline, NeverSkip, RunOptions::default(), None);
         let f = trace.function("f").unwrap();
         // The probe adds only an unreachable block, which the canonical
         // printer ignores — fingerprints stay equal.

@@ -1,15 +1,14 @@
-//! Function-parallel pipeline execution on a shared work-stealing pool.
+//! The pipeline runner, fanned out at function granularity on a shared
+//! work-stealing pool when the caller supplies one.
 //!
-//! [`run_pipeline_parallel`] produces output that is byte-identical to the
-//! sequential [`run_pipeline`](crate::run_pipeline) for the same inputs:
+//! [`run_pipeline`] is the only runner. Its output is byte-identical for
+//! every pool width — including no pool at all:
 //!
 //! * Within a stage, passes read callee bodies only from the immutable
-//!   pre-stage snapshot (the same rule the sequential runner enforces), so
-//!   functions of one stage are mutually independent and can run in any
-//!   order — including concurrently.
+//!   pre-stage snapshot, so functions of one stage are mutually
+//!   independent and can run in any order — including concurrently.
 //! * Stage boundaries are barriers: a stage's tasks all finish before the
-//!   next stage (and any re-snapshot) begins, exactly mirroring the
-//!   sequential stage loop.
+//!   next stage (and any re-snapshot) begins.
 //! * Per-function [`FunctionTrace`]s are assembled in module definition
 //!   order regardless of completion order, so the merged
 //!   [`PipelineTrace`] — and everything derived from it (dormancy state,
@@ -22,11 +21,14 @@
 //! each paying it. Batches are serviced largest-total-cost-first. The plan
 //! depends only on costs and roster order — never on the worker count — so
 //! batch composition and counters are identical for every `--jobs` value.
+//! Without a pool, or with a one-worker pool, the same batches run in plan
+//! order on the calling thread ([`sfcc_pool::run_batched`]).
 //!
 //! Snapshots are copy-on-write: a re-snapshot deep-clones only functions
 //! some pass changed since the previous snapshot and reuses the previous
-//! `Arc` for the rest, using the same dirty-bit rule as the sequential
-//! runner — so snapshot counters, like everything else, stay byte-identical.
+//! `Arc` for the rest. The pipeline-entry snapshot already equals the
+//! first stage's input, so a re-snapshot flag on the first stage is a
+//! no-op.
 //!
 //! The oracle must be deterministic (a pure function of each query) for the
 //! byte-identity guarantee to extend to recorded outcomes; every oracle in
@@ -39,8 +41,8 @@ use sfcc_ir::{fingerprint, verify_function, Fingerprint, Function, Module, Modul
 use sfcc_pool::{run_batched, PoolScope};
 
 use crate::manager::{
-    cow_snapshot, run_pipeline, FunctionTrace, PassOutcome, PassQuery, PassRecord, Pipeline,
-    PipelineTrace, RunOptions, SkipOracle, Stage,
+    cow_snapshot, FunctionTrace, PassOutcome, PassQuery, PassRecord, Pipeline, PipelineTrace,
+    RunOptions, SkipOracle, Stage,
 };
 
 /// Per-function unit of work: the function body being optimized, its
@@ -54,32 +56,26 @@ struct FnCell {
     dirty: bool,
 }
 
-/// Runs `pipeline` over every function of `module` with function-level
-/// parallelism on `pool`, consulting `oracle` before each pass execution.
-///
-/// Falls back to the sequential [`run_pipeline`](crate::run_pipeline) when
-/// the pool has no workers or the module has at most one function; the
-/// result is identical either way (see the module docs for the argument).
+/// Runs `pipeline` over every function of `module`, consulting `oracle`
+/// before each pass execution, and returns the full instrumentation trace.
+/// With a `pool`, each stage's batches fan out onto its workers; without
+/// one, they run on the calling thread. The result is identical either way
+/// (see the module docs for the argument).
 ///
 /// # Panics
 ///
 /// Panics if [`RunOptions::verify_each`] is set and a pass produces invalid
 /// IR — that is a compiler bug, not an input error. A panic inside a worker
 /// task is propagated to the caller.
-pub fn run_pipeline_parallel<'env>(
+pub fn run_pipeline<'env>(
     module: &mut Module,
     pipeline: &'env Pipeline,
-    oracle: Arc<dyn SkipOracle + Send + Sync + 'env>,
+    oracle: impl SkipOracle + Send + Sync + 'env,
     options: RunOptions,
-    pool: &PoolScope<'env>,
+    pool: Option<&PoolScope<'env>>,
 ) -> PipelineTrace {
+    let oracle = Arc::new(oracle);
     let stages = pipeline.stages();
-    if !pool.is_parallel() || module.functions.len() <= 1 || stages.is_empty() {
-        return run_pipeline(module, pipeline, oracle.as_ref(), options);
-    }
-
-    // Pre-stage snapshot: the inliner (and any other cross-function pass)
-    // reads callee bodies from here, never from the cells being mutated.
     let mut cells: Vec<FnCell> = std::mem::take(&mut module.functions)
         .into_iter()
         .map(|func| FnCell {
@@ -93,11 +89,20 @@ pub fn run_pipeline_parallel<'env>(
             dirty: false,
         })
         .collect();
+    if stages.is_empty() {
+        // No stage runs to take the fingerprints; the body is unchanged.
+        for cell in &mut cells {
+            cell.trace.entry_fingerprint = fingerprint(&cell.func);
+            cell.trace.exit_fingerprint = cell.trace.entry_fingerprint;
+        }
+    }
     let mut snapshot_clones = 0u64;
     let mut snapshot_cost_units = 0u64;
     let mut snapshot_reused = 0u64;
     let mut batch_count = 0u64;
     let mut batch_max_cost = 0u64;
+    // Pre-stage snapshot: the inliner (and any other cross-function pass)
+    // reads callee bodies from here, never from the cells being mutated.
     let mut snapshot = {
         let funcs: Vec<&Function> = cells.iter().map(|c| &c.func).collect();
         let dirty = vec![false; cells.len()];
@@ -108,14 +113,14 @@ pub fn run_pipeline_parallel<'env>(
         Arc::new(snap)
     };
 
-    let last_stage = stages.len() - 1;
+    let last_stage = stages.len().saturating_sub(1);
     let mut slot_base = 0usize;
     for (si, stage) in stages.iter().enumerate() {
         if si > 0 && stage.resnapshot {
             // Rebuild the snapshot from the current (post-previous-stage)
             // function bodies: copy-on-write, so only functions some pass
             // actually changed are deep-cloned — the rest reuse the previous
-            // snapshot's `Arc`s. Same dirty rule as the sequential runner.
+            // snapshot's `Arc`s.
             let funcs: Vec<&Function> = cells.iter().map(|c| &c.func).collect();
             let dirty: Vec<bool> = cells.iter().map(|c| c.dirty).collect();
             let (snap, cost, reused) = cow_snapshot(&module.name, &funcs, &dirty, Some(&snapshot));
@@ -130,7 +135,7 @@ pub fn run_pipeline_parallel<'env>(
 
         // Cost-balanced batches, largest-total-cost-first; one pool task per
         // batch. The plan depends only on costs and roster order — never the
-        // worker count — so it matches the sequential runner's accounting.
+        // worker count.
         let costs: Vec<u64> = cells
             .iter()
             .map(|c| c.func.live_inst_count() as u64)
@@ -143,7 +148,7 @@ pub fn run_pipeline_parallel<'env>(
         let stage_oracle = Arc::clone(&oracle);
         let first = si == 0;
         let last = si == last_stage;
-        cells = run_batched(Some(pool), cells, &plan.batches, move |_, cell| {
+        cells = run_batched(pool, cells, &plan.batches, move |_, cell| {
             run_stage_on_function(
                 cell,
                 stage,
@@ -177,8 +182,7 @@ pub fn run_pipeline_parallel<'env>(
 }
 
 /// Runs one stage's passes over one function, recording into its trace.
-/// This is the per-task body; it matches the sequential inner loop of
-/// [`run_pipeline`] record-for-record.
+/// This is the per-task body.
 #[allow(clippy::too_many_arguments)]
 fn run_stage_on_function(
     cell: &mut FnCell,
@@ -298,25 +302,46 @@ mod tests {
         trace
     }
 
+    /// The shipped pipeline, plus one whose first stage asks for a
+    /// re-snapshot — a no-op, since the entry snapshot already holds the
+    /// first stage's input.
+    fn pipelines() -> Vec<Pipeline> {
+        let first_stage_resnapshot = Pipeline::new()
+            .stage(
+                true,
+                vec![
+                    Box::new(crate::mem2reg::Mem2Reg),
+                    Box::new(crate::inline::Inline),
+                ],
+            )
+            .stage(
+                true,
+                vec![Box::new(crate::inline::Inline), Box::new(crate::dce::Dce)],
+            );
+        vec![default_pipeline(), first_stage_resnapshot]
+    }
+
+    /// Runs every pipeline of [`pipelines`] without a pool and under a
+    /// `jobs`-worker pool and asserts identical IR, traces and counters.
     fn assert_matches_sequential(oracle: impl SkipOracle + Send + Sync + 'static, jobs: usize) {
-        let pipeline = default_pipeline();
         let options = RunOptions { verify_each: true };
         let oracle = Arc::new(oracle);
+        for pipeline in pipelines() {
+            let mut seq = sample_module();
+            let seq_trace = run_pipeline(&mut seq, &pipeline, Arc::clone(&oracle), options, None);
 
-        let mut seq = sample_module();
-        let seq_trace = run_pipeline(&mut seq, &pipeline, oracle.as_ref(), options);
+            let mut par = sample_module();
+            let par_trace = sfcc_pool::scope(jobs, |ps| {
+                run_pipeline(&mut par, &pipeline, Arc::clone(&oracle), options, Some(ps))
+            });
 
-        let mut par = sample_module();
-        let par_trace = sfcc_pool::scope(jobs, |ps| {
-            run_pipeline_parallel(&mut par, &pipeline, Arc::clone(&oracle) as _, options, ps)
-        });
-
-        assert_eq!(seq.to_string(), par.to_string(), "optimized IR diverged");
-        assert_eq!(
-            strip_nanos(seq_trace),
-            strip_nanos(par_trace),
-            "traces diverged"
-        );
+            assert_eq!(seq.to_string(), par.to_string(), "optimized IR diverged");
+            assert_eq!(
+                strip_nanos(seq_trace),
+                strip_nanos(par_trace),
+                "traces diverged"
+            );
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! (`reused`).
 //!
 //! `clones`, `cost_units`, and `reused` are deterministic and identical
-//! across `--jobs` values — the sequential and parallel runners snapshot at
-//! exactly the same points with identical dirty sets — so they are safe to
+//! across `--jobs` values — the runner snapshots at exactly the same
+//! points with identical dirty sets for every pool width — so they are safe to
 //! surface in byte-stable traces. `wall_ns` is wall-clock and belongs only
 //! in the (jobs-variant) metrics registry.
 //!

@@ -61,9 +61,9 @@ pub struct FunctionRecord {
 impl FunctionRecord {
     /// A deterministic stamp of this record's skip-relevant content.
     ///
-    /// Unlike [`ModuleState::content_stamp`] this excludes `last_build` and
-    /// any module-wide counter: equal stamps mean the record would drive
-    /// identical skip decisions for this one function. That makes the stamp
+    /// It excludes `last_build` and any module-wide counter: equal stamps
+    /// mean the record would drive identical skip decisions for this one
+    /// function. That makes the stamp
     /// stable across no-op rebuilds and independent of the order in which
     /// sibling functions were re-optimized — the property the per-function
     /// `state:module::function` build input relies on.
@@ -90,40 +90,6 @@ impl FunctionRecord {
     /// The dormant streak of the slot at `index` (0 when unknown).
     pub fn streak(&self, index: usize) -> u32 {
         self.slots.get(index).map_or(0, |s| s.dormant_streak)
-    }
-}
-
-impl ModuleState {
-    /// A deterministic stamp of this module's dormancy content, for change
-    /// detection by incremental engines: equal stamps mean the state would
-    /// drive identical skip decisions. Function order does not matter.
-    pub fn content_stamp(&self) -> u64 {
-        let mut repr = String::new();
-        repr.push_str(&format!(
-            "ph={:x};bc={};",
-            self.pipeline_hash.0, self.build_counter
-        ));
-        let mut names: Vec<&String> = self.functions.keys().collect();
-        names.sort();
-        for name in names {
-            let record = &self.functions[name];
-            repr.push_str(&format!(
-                "{name}:{:x}/{:x}@{}",
-                record.fingerprint.0, record.exit_fingerprint.0, record.last_build
-            ));
-            for slot in &record.slots {
-                repr.push_str(&format!(
-                    "|{}{}s{}h{}o{}",
-                    slot.dormant as u8,
-                    slot.dormant_streak,
-                    slot.times_skipped,
-                    slot.history,
-                    slot.observations
-                ));
-            }
-            repr.push(';');
-        }
-        crate::codec::fnv64(repr.as_bytes())
     }
 }
 

@@ -402,13 +402,23 @@ fn racing_builder_processes_never_corrupt_the_store() {
                 .args(["race_worker_entry", "--exact", "--test-threads=1"])
                 .env("SFCC_CAS_RACE_DIR", &store)
                 .env("SFCC_CAS_RACE_SEED", seed.to_string())
+                // Captured, so the children's test-harness lines do not
+                // interleave with this harness's output.
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
                 .spawn()
                 .unwrap()
         })
         .collect();
-    for mut child in children {
-        let status = child.wait().unwrap();
-        assert!(status.success(), "a racing builder failed: {status:?}");
+    for child in children {
+        let out = child.wait_with_output().unwrap();
+        assert!(
+            out.status.success(),
+            "a racing builder failed: {:?}\n{}{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 
     // Whatever interleaving happened, nothing in the store may be corrupt:

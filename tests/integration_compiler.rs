@@ -96,42 +96,6 @@ fn main(n: int) -> int {
 }
 
 #[test]
-fn batch_compilation_matches_sequential() {
-    let sources: Vec<(String, String)> = (0..6)
-        .map(|i| {
-            (
-                format!("mod{i}"),
-                format!("fn f(x: int) -> int {{ return x * {} + {i}; }}", i + 2),
-            )
-        })
-        .collect();
-    let env = ModuleEnv::new();
-
-    let mut seq = Compiler::new(Config::stateful().with_verification());
-    let seq_outs: Vec<_> = sources
-        .iter()
-        .map(|(name, src)| seq.compile(name, src, &env).unwrap())
-        .collect();
-
-    let mut par = Compiler::new(Config::stateful().with_verification());
-    let units: Vec<(&str, &str, &ModuleEnv)> = sources
-        .iter()
-        .map(|(n, s)| (n.as_str(), s.as_str(), &env))
-        .collect();
-    let par_outs = par.compile_batch(&units, true);
-
-    for (a, b) in seq_outs.iter().zip(&par_outs) {
-        let b = b.as_ref().unwrap();
-        assert_eq!(a.object, b.object, "objects must be identical");
-    }
-    assert_eq!(
-        seq.state().function_count(),
-        par.state().function_count(),
-        "both sessions tracked the same functions"
-    );
-}
-
-#[test]
 fn mode_reporting_is_accurate() {
     let c = Compiler::new(Config::stateful());
     assert!(c.config().mode.is_stateful());

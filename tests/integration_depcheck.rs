@@ -398,3 +398,54 @@ fn quick_rogue_io_outside_any_dependency_channel_is_flagged() {
         );
     }
 }
+
+#[test]
+fn quick_concurrent_unaudited_builds_are_not_charged_to_the_audit() {
+    // The access log is process-global, but it records only the audited
+    // session. Unaudited builds of the same project running at the same
+    // time — plain and through a shared store, so their task labels and
+    // resources (`src:base`, `cas:base::g`) overlap the audited build's —
+    // must never surface as findings against it.
+    let dir = std::env::temp_dir().join(format!(
+        "sfcc-depcheck-crosstalk-{}-{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let noise = [Config::stateless(), Config::stateless().with_cas_path(&dir)];
+        for config in noise {
+            let stop = &stop;
+            s.spawn(move || {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let mut b = Builder::new(Compiler::new(config.clone())).with_jobs(2);
+                    b.build(&project_v1()).unwrap();
+                    b.build(&project_v2()).unwrap();
+                }
+            });
+        }
+        // Stop the noise even when an audit assertion unwinds, or the
+        // scope would wait on it forever.
+        struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, std::sync::atomic::Ordering::Relaxed);
+            }
+        }
+        let _stop = StopOnDrop(&stop);
+        for round in 0..8 {
+            let mut audited = Builder::new(Compiler::new(Config::stateless())).with_depcheck();
+            for label in ["cold", "warm"] {
+                let dc = audited.build(&project_v1()).unwrap().depcheck.unwrap();
+                assert!(
+                    dc.is_clean(),
+                    "round {round}: {label} audit charged with another session's accesses:\n{}",
+                    dc.render()
+                );
+            }
+        }
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -132,11 +132,11 @@ fn quick_cow_snapshot_byte_identity_under_cross_batch_inlining() {
 }
 
 /// A stage that changes no function must re-wrap no function: the
-/// re-snapshot reuses every previous `Arc` (zero cloned cost units), in
-/// both runners, with identical trace counters.
+/// re-snapshot reuses every previous `Arc` (zero cloned cost units), with
+/// and without a pool, with identical trace counters.
 #[test]
 fn quick_zero_change_stage_performs_zero_rewraps() {
-    use sfcc_passes::{run_pipeline, run_pipeline_parallel, NeverSkip, Pipeline, RunOptions};
+    use sfcc_passes::{run_pipeline, NeverSkip, Pipeline, RunOptions};
 
     /// A pass that never touches the IR.
     struct Nop;
@@ -183,21 +183,15 @@ fn quick_zero_change_stage_performs_zero_rewraps() {
         .map(|f| f.live_inst_count() as u64)
         .sum();
     let seq_pipeline = make_pipeline();
-    let seq = run_pipeline(&mut seq_module, &seq_pipeline, &NeverSkip, options);
+    let seq = run_pipeline(&mut seq_module, &seq_pipeline, NeverSkip, options, None);
 
     let mut par_module = build_module();
     let par_pipeline = make_pipeline();
     let par = sfcc_pool::scope(8, |ps| {
-        run_pipeline_parallel(
-            &mut par_module,
-            &par_pipeline,
-            std::sync::Arc::new(NeverSkip),
-            options,
-            ps,
-        )
+        run_pipeline(&mut par_module, &par_pipeline, NeverSkip, options, Some(ps))
     });
 
-    for (label, trace) in [("sequential", &seq), ("parallel", &par)] {
+    for (label, trace) in [("no pool", &seq), ("8-worker pool", &par)] {
         // Pipeline entry + the resnapshot stage; the Nop stage changed
         // nothing, so the re-snapshot clones zero functions and reuses all.
         assert_eq!(trace.snapshot_clones, 2, "{label}: snapshot count");
@@ -219,7 +213,7 @@ fn quick_zero_change_stage_performs_zero_rewraps() {
         }
         t
     };
-    assert_eq!(strip(seq), strip(par), "runner traces diverged");
+    assert_eq!(strip(seq), strip(par), "traces diverged across pool widths");
 }
 
 /// One big module: the single-stale-module path, where all parallelism is
