@@ -3,7 +3,8 @@
 #
 #   ci.sh          full gate
 #   ci.sh --quick  fast sweep only: the pass manager's unit tests (with
-#                  the runner's jobs-invariance checks), the
+#                  the runner's jobs-invariance checks), the trace crate's
+#                  unit tests (JSON reader included), the
 #                  `quick_`-prefixed subset of the fault-injection
 #                  matrix (cold crash matrix, truncation
 #                  boundaries, recovery counters, durability sync points),
@@ -49,6 +50,9 @@ if [[ "${1:-}" == "--quick" ]]; then
     # The pass manager's unit tests, including the pipeline runner's
     # jobs-invariance checks (no pool vs a 4- and 1-worker pool).
     cargo test -q -p sfcc-passes
+    # The JSON reader every daemon reply and `minicc stats` goes through,
+    # including its large multi-byte round-trip.
+    cargo test -q -p sfcc-trace
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_

@@ -5,9 +5,10 @@
 //! state, re-validate every task, and re-execute whatever the dormancy
 //! stamps cannot prove unchanged. This experiment drives the *same*
 //! one-function edit stream down both lanes — warm requests over the real
-//! unix-socket protocol against an in-process daemon, and cold fresh-builder
-//! sessions mirroring one `minicc build --stateful --fn-cache` invocation
-//! each — and reports the latency distributions side by side.
+//! unix-socket protocol against an in-process daemon, and cold sessions,
+//! each a fresh `BuildService` serving one build exactly as one `minicc
+//! build --stateful --fn-cache` invocation does — and reports the latency
+//! distributions side by side.
 //!
 //! A second phase fans N client threads with independent projects into one
 //! daemon, interleaving their edit streams, to show warm latency holds up
@@ -18,9 +19,8 @@
 //! [`gate_speedup`] checks in CI.
 
 use crate::table::Table;
-use sfcc::{Compiler, Config, Durability};
 use sfcc_buildsys::serve::BuildService;
-use sfcc_buildsys::{Builder, Project};
+use sfcc_buildsys::{DepMutations, Project};
 use sfcc_daemon::{roundtrip, Daemon, DaemonHandle, DaemonOptions, Request};
 use sfcc_workload::{generate_model, EditKind, EditScript, GeneratorConfig};
 use std::fmt::Write as _;
@@ -46,19 +46,8 @@ fn write_tree(dir: &Path, p: &Project) {
     p.write_to_dir(dir).unwrap();
 }
 
-/// One cold CLI-equivalent session: load the project and persistent state
-/// from disk, build, commit state, write the image.
-fn cold_session(dir: &Path) {
-    let config = Config::stateful()
-        .with_state_path(dir.join(".sfcc-state"))
-        .with_function_cache();
-    let mut builder = Builder::new(Compiler::new(config)).with_jobs(1);
-    let p = Project::from_dir(dir).unwrap();
-    let report = builder.build(&p).unwrap();
-    builder.compiler().save_state().unwrap();
-    sfcc_backend::image::save_with(&report.program, &dir.join("out.sbx"), Durability::Fast)
-        .unwrap();
-}
+/// The flags of every build, warm or cold.
+const BUILD_ARGS: [&str; 4] = ["--stateful", "--fn-cache", "--jobs", "1"];
 
 fn build_request(dir: &Path) -> Request {
     Request {
@@ -66,11 +55,19 @@ fn build_request(dir: &Path) -> Request {
         dir: Some(dir.display().to_string()),
         module: None,
         out: Some(dir.join("out.sbx").display().to_string()),
-        args: ["--stateful", "--fn-cache", "--jobs", "1"]
-            .map(String::from)
-            .to_vec(),
+        args: BUILD_ARGS.map(String::from).to_vec(),
         prog_args: Vec::new(),
     }
+}
+
+/// One cold `minicc build` session: a fresh [`BuildService`] — the code
+/// the CLI runs — serving one build, report and image written.
+fn serve_cold(dir: &Path) {
+    let args = BUILD_ARGS.map(String::from);
+    BuildService::new_with(dir, &args, DepMutations::new())
+        .expect("session flags")
+        .build(Some(&dir.join("out.sbx")))
+        .expect("cold build");
 }
 
 /// Sends one warm build request and returns its round-trip latency (ns),
@@ -142,7 +139,7 @@ pub fn serve_warm(scale: crate::Scale) -> (String, String) {
     // Prime both lanes: the daemon fills its engine, the cold lane commits
     // its state dir. Neither priming build is measured.
     warm_request(&socket, &warm_dir).expect("priming serve");
-    cold_session(&cold_dir);
+    serve_cold(&cold_dir);
 
     let mut warm_ns = Vec::with_capacity(edits);
     let mut cold_ns = Vec::with_capacity(edits);
@@ -153,7 +150,7 @@ pub fn serve_warm(scale: crate::Scale) -> (String, String) {
         write_tree(&cold_dir, &p);
         warm_ns.push(warm_request(&socket, &warm_dir).expect("warm serve"));
         let start = Instant::now();
-        cold_session(&cold_dir);
+        serve_cold(&cold_dir);
         cold_ns.push(start.elapsed().as_nanos() as u64);
     }
     let (warm_p50, warm_p90, warm_p99) = dist(warm_ns);

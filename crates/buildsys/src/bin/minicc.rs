@@ -31,12 +31,15 @@
 //! `SFCC_FAULT_PLAN=crash-at:5 minicc build p --stateful` simulates a crash
 //! at the fifth durable I/O operation.
 
-use sfcc::{persist, Compiler, Config, Durability};
-use sfcc_backend::{disasm_program, load_image, run, VmOptions};
-use sfcc_buildsys::serve::BuildService;
-use sfcc_buildsys::{BuildReport, Builder, Project};
+use sfcc::persist;
+use sfcc_backend::{disasm_program, load_image, RunOutput};
+use sfcc_buildsys::serve::{
+    run_main, BuildService, BuildSummary, SessionFlags, REPORT_FILE, STALE_REPORT_FILE,
+};
+use sfcc_buildsys::DepMutations;
 use sfcc_daemon::{Daemon, DaemonOptions, ErrorKind, Reply, Request};
 use sfcc_faultfs::FaultPlan;
+use sfcc_trace::json::{self, Value};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -76,16 +79,20 @@ build flags:
   --parallel     alias for the default --jobs behavior
   --durable      fsync state/cache/image writes (crash-consistent either
                  way; --durable also survives OS-level crashes)
-  --report json  (build) print a JSON build report instead of the summary
+  --report json  (build/depcheck) print a JSON build report instead of the
+                 summary
   --trace <out.json>  (build) export a Chrome/Perfetto trace of the build;
                  the timeline is deterministic cost units, so the bytes are
-                 identical across runs and --jobs values
+                 identical across runs and --jobs values; refused with
+                 --daemon (a served build is not traced)
   --trace-wall   annotate trace events with measured wall-clock nanoseconds
                  (makes the trace non-deterministic)
   -O0 | -O1 | -O2  optimization level (default -O2)
   --daemon <socket>  (build/run/ir/depcheck) serve the request through a
                  warm `minicc serve` daemon when one is reachable at
-                 <socket>; falls back to a local cold build otherwise
+                 <socket>; falls back to a local cold build otherwise.
+                 Both routes run the same build session and print the
+                 same output
 
 build daemon:
   `minicc serve <root-dir>` starts a warm build daemon on a unix socket
@@ -165,16 +172,12 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     };
     let rest = &args[1..];
     match command.as_str() {
-        "build" => cmd_build(rest),
-        "run" => cmd_run(rest),
+        "build" | "run" | "ir" | "bc" | "depcheck" => cmd_session(command, rest),
         "exec" => cmd_exec(rest),
-        "ir" => cmd_ir(rest),
-        "bc" => cmd_bc(rest),
         "state" => cmd_state(rest),
         "fsck" => cmd_fsck(rest),
         "stats" => cmd_stats(rest),
         "trace-check" => cmd_trace_check(rest),
-        "depcheck" => cmd_depcheck(rest),
         "serve" => cmd_serve(rest),
         "client" => cmd_client(rest),
         "--help" | "-h" | "help" => {
@@ -185,25 +188,19 @@ fn dispatch(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-/// Options shared by every command that performs a build.
+/// Options of one build-class invocation: the session flags plus what only
+/// this invocation uses.
+#[derive(Default)]
 struct BuildFlags {
-    stateful: bool,
-    fn_cache: bool,
-    /// `--cas <dir>`: attach a shared content-addressed artifact store.
-    cas: Option<PathBuf>,
-    /// `--cas-budget <bytes>`: LRU-evict the store beyond this size.
-    cas_budget: Option<u64>,
-    /// Worker threads per wave; `None` means all available cores.
-    jobs: Option<usize>,
+    /// The flags the build session is configured (a daemon session keyed)
+    /// under; parsed by [`SessionFlags::accept`].
+    session: SessionFlags,
     /// `--report json`: emit a machine-readable build report.
     report_json: bool,
     /// `--trace <path>`: export a Chrome-trace JSON of the build.
     trace: Option<PathBuf>,
     /// `--trace-wall`: include wall-clock annotations in the trace.
     trace_wall: bool,
-    /// `--durable`: fsync every durable write (state, cache, images).
-    durable: bool,
-    opt: &'static str,
     /// `--daemon <socket>`: route through a warm daemon when reachable.
     daemon: Option<PathBuf>,
     /// Non-flag operands in order (directory, module name, …).
@@ -215,51 +212,13 @@ struct BuildFlags {
 }
 
 fn parse_flags(args: &[String]) -> Result<BuildFlags, String> {
-    let mut flags = BuildFlags {
-        stateful: false,
-        fn_cache: false,
-        cas: None,
-        cas_budget: None,
-        jobs: None,
-        report_json: false,
-        trace: None,
-        trace_wall: false,
-        durable: false,
-        opt: "-O2",
-        daemon: None,
-        operands: Vec::new(),
-        output: None,
-        program_args: Vec::new(),
-    };
+    let mut flags = BuildFlags::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        if flags.session.accept(arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
-            "--stateful" => flags.stateful = true,
-            "--stateless" => flags.stateful = false,
-            "--fn-cache" => flags.fn_cache = true,
-            "--cas" => {
-                let dir = iter.next().ok_or("`--cas` expects a store directory")?;
-                flags.cas = Some(PathBuf::from(dir));
-            }
-            "--cas-budget" => {
-                let value = iter.next().ok_or("`--cas-budget` expects a byte count")?;
-                let n: u64 = value
-                    .parse()
-                    .map_err(|_| format!("`--cas-budget` expects a number, got `{value}`"))?;
-                flags.cas_budget = Some(n);
-            }
-            "--durable" => flags.durable = true,
-            "--parallel" => flags.jobs = None,
-            "--jobs" => {
-                let value = iter.next().ok_or("`--jobs` expects a worker count")?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("`--jobs` expects a number, got `{value}`"))?;
-                if n == 0 {
-                    return Err("`--jobs` expects at least 1 worker".to_string());
-                }
-                flags.jobs = Some(n);
-            }
             "--report" => {
                 let format = iter.next().ok_or("`--report` expects a format")?;
                 if format != "json" {
@@ -277,13 +236,6 @@ fn parse_flags(args: &[String]) -> Result<BuildFlags, String> {
             "--daemon" => {
                 let socket = iter.next().ok_or("`--daemon` expects a socket path")?;
                 flags.daemon = Some(PathBuf::from(socket));
-            }
-            "-O0" | "-O1" | "-O2" => {
-                flags.opt = match arg.as_str() {
-                    "-O0" => "-O0",
-                    "-O1" => "-O1",
-                    _ => "-O2",
-                }
             }
             "-o" => {
                 let path = iter.next().ok_or("`-o` expects a path")?;
@@ -306,91 +258,99 @@ fn parse_flags(args: &[String]) -> Result<BuildFlags, String> {
     Ok(flags)
 }
 
-fn config_of(flags: &BuildFlags, dir: &Path) -> Config {
-    let mut config = if flags.stateful {
-        Config::stateful().with_state_path(dir.join(".sfcc-state"))
-    } else {
-        Config::stateless()
-    };
-    config = match flags.opt {
-        "-O0" => config.with_opt_level(sfcc::OptLevel::O0),
-        "-O1" => config.with_opt_level(sfcc::OptLevel::O1),
-        _ => config,
-    };
-    if flags.fn_cache {
-        config = config.with_function_cache();
+/// The project directory and, for `ir`, the module a build-class command
+/// names.
+fn operands<'a>(cmd: &str, flags: &'a BuildFlags) -> Result<(&'a str, Option<&'a str>), String> {
+    match (cmd, flags.operands.as_slice()) {
+        ("ir", [dir, module]) => Ok((dir, Some(module))),
+        ("ir", _) => Err(format!(
+            "`ir` expects a project directory and a module name\n\n{USAGE}"
+        )),
+        (_, [dir]) => Ok((dir, None)),
+        _ => Err(format!("`{cmd}` expects one project directory\n\n{USAGE}")),
     }
-    // `--cas` wins over the environment; either attaches the shared store
-    // (and implies the function cache, which fronts it).
-    let cas_dir = flags
-        .cas
-        .clone()
-        .or_else(|| std::env::var("SFCC_CAS").ok().map(PathBuf::from));
-    if let Some(store) = cas_dir {
-        config = config.with_cas_path(store);
-        let budget = flags
-            .cas_budget
-            .or_else(|| std::env::var("SFCC_CAS_BUDGET").ok()?.parse().ok());
-        if let Some(budget) = budget {
-            config = config.with_cas_budget(budget);
-        }
-    }
-    if flags.durable {
-        config = config.with_durability(Durability::Durable);
-    }
-    let jobs = flags.jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    });
-    config.with_jobs(jobs)
 }
 
-/// The file every build persists its JSON report to, inside the project
-/// directory; `minicc stats` reads it back.
-const REPORT_FILE: &str = ".sfcc-report.json";
-
-/// Where the previous build's report is parked while a build runs. A build
-/// that fails leaves it here, so `minicc stats` can tell "the last build
-/// did not complete" apart from "here is the last build's telemetry".
-const STALE_REPORT_FILE: &str = ".sfcc-report.json.stale";
-
-/// Builds the project in `dir` under `flags`; persists state when stateful.
-/// Also persists the JSON report to `<dir>/.sfcc-report.json` (plain
-/// `std::fs`, deliberately outside the fault-injectable I/O layer so
-/// telemetry never shifts a fault plan's op numbering) and exports the
-/// trace when `--trace` was given.
-fn build_project(flags: &BuildFlags, dir: &Path) -> Result<(Builder, BuildReport), String> {
-    let project = Project::from_dir(dir)
-        .map_err(|e| format!("cannot load project `{}`: {e}", dir.display()))?;
-    if project.is_empty() {
-        return Err(format!("no .mc files in `{}`", dir.display()));
+/// What `main.main(args)` printed and returned (`run`, `exec`).
+fn program_output(out: &RunOutput, args: &[i64]) -> String {
+    let mut text: String = out.prints.iter().map(|v| format!("{v}\n")).collect();
+    match out.return_value {
+        Some(v) => text.push_str(&format!("main.main({args:?}) = {v}\n")),
+        None => text.push_str(&format!("main.main({args:?}) returned\n")),
     }
-    let mut builder = Builder::new(Compiler::new(config_of(flags, dir)));
-    builder = match flags.jobs {
-        Some(jobs) => builder.with_jobs(jobs),
-        None => builder.with_parallelism(),
-    };
+    text + &format!("({} instructions executed)\n", out.executed)
+}
+
+/// Prints a depcheck verdict (cold or served) and returns its exit code:
+/// 0 clean, 1 findings.
+fn print_depcheck(render: &str, clean: bool, dir: &str) -> ExitCode {
+    print!("{render}");
+    if clean {
+        println!(
+            "depcheck `{dir}`: clean — every declared dependency was accessed and \
+             every access was declared"
+        );
+    }
+    ExitCode::from(u8::from(!clean))
+}
+
+/// `build` / `run` / `ir` / `bc` / `depcheck`: one call on a build session
+/// — a daemon's when `--daemon` reaches one (`bc` is never served), else a
+/// cold one opened here and served once.
+fn cmd_session(cmd: &str, args: &[String]) -> Result<ExitCode, String> {
+    let flags = parse_flags(args)?;
+    let (dir, module) = operands(cmd, &flags)?;
+    if cmd != "bc" {
+        if let Some(code) = try_daemon(cmd, &flags)? {
+            return Ok(code);
+        }
+    }
+    let mut session =
+        BuildService::open(Path::new(dir), flags.session.clone(), DepMutations::new());
+    if cmd == "depcheck" {
+        // A failed audited build exits 2, distinct from findings (1), so CI
+        // can tell a broken project apart from a lying one.
+        let report = match session.depcheck() {
+            Ok(report) => report,
+            Err(e) => {
+                eprintln!("{e}");
+                return Ok(ExitCode::from(2));
+            }
+        };
+        let audit = report.depcheck.as_ref().expect("depcheck merges an audit");
+        if flags.report_json {
+            // The rebuild's report, carrying the merged verdict.
+            println!("{}", report.to_json());
+            return Ok(ExitCode::from(u8::from(!audit.is_clean())));
+        }
+        return Ok(print_depcheck(&audit.render(), audit.is_clean(), dir));
+    }
     if flags.trace.is_some() {
-        builder = builder.with_tracing();
+        session = session.with_tracing();
     }
-    // Park the previous report before building: if this build fails or
-    // crashes, `stats` must not serve yesterday's numbers as today's.
-    let report_path = dir.join(REPORT_FILE);
-    let stale_path = dir.join(STALE_REPORT_FILE);
-    if report_path.exists() {
-        let _ = std::fs::rename(&report_path, &stale_path);
-    }
-    let mut report = builder.build(&project).map_err(|e| e.to_string())?;
-    if flags.stateful {
-        report.state_generation = builder
-            .compiler()
-            .save_state()
-            .map_err(|e| format!("cannot save state: {e}"))?;
-    }
-    std::fs::write(&report_path, report.to_json())
-        .map_err(|e| format!("cannot write `{}`: {e}", report_path.display()))?;
-    let _ = std::fs::remove_file(&stale_path);
+    let (report, text) = match (cmd, module) {
+        ("build", _) => {
+            let (report, image) = session.build(flags.output.as_deref())?;
+            let text = if flags.report_json {
+                format!("{}\n", report.to_json())
+            } else {
+                BuildSummary::of(&report).build_lines(&image.display().to_string())
+            };
+            (report, text)
+        }
+        ("run", _) => {
+            let (report, out) = session.run(&flags.program_args)?;
+            let text = BuildSummary::of(&report).run_lines(flags.session.fn_cache)
+                + &program_output(&out, &flags.program_args);
+            (report, text)
+        }
+        ("ir", Some(module)) => session.ir(module)?,
+        _ => {
+            let report = session.build_report()?;
+            let text = disasm_program(&report.program);
+            (report, text)
+        }
+    };
     if let Some(path) = &flags.trace {
         let trace = report
             .trace
@@ -399,115 +359,7 @@ fn build_project(flags: &BuildFlags, dir: &Path) -> Result<(Builder, BuildReport
         std::fs::write(path, trace.to_chrome_json(flags.trace_wall))
             .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
     }
-    Ok((builder, report))
-}
-
-fn cmd_build(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("build", &flags) {
-        return result;
-    }
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!("`build` expects one project directory\n\n{USAGE}"));
-    };
-    let dir = Path::new(dir);
-    let (_, report) = build_project(&flags, dir)?;
-    let out = flags
-        .output
-        .clone()
-        .unwrap_or_else(|| dir.with_extension("sbx"));
-    let durability = if flags.durable {
-        Durability::Durable
-    } else {
-        Durability::Fast
-    };
-    sfcc_backend::image::save_with(&report.program, &out, durability)
-        .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
-    if flags.report_json {
-        println!("{}", report.to_json());
-        return Ok(ExitCode::SUCCESS);
-    }
-    if report.recovered_files > 0 {
-        println!(
-            "recovered from {} corrupt persistent file(s); quarantined: {}",
-            report.recovered_files,
-            if report.quarantined.is_empty() {
-                "(none)".to_string()
-            } else {
-                report.quarantined.join(", ")
-            }
-        );
-    }
-    let (active, dormant, skipped) = report.outcome_totals();
-    println!(
-        "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
-        report.modules.len(),
-        report.rebuilt_count(),
-        report.wall_ns as f64 / 1e6,
-        active,
-        dormant,
-        skipped,
-        report.query.hits,
-        report.query.misses,
-    );
-    println!(
-        "fn-grain: {} signature pin(s) held, {} re-extracted; {} function pipeline task(s) ran, {} saved by cutoff",
-        report.fngrain.signature_hits,
-        report.fngrain.signature_misses,
-        report.fngrain.fn_tasks_executed,
-        report.fngrain.cutoff_saved,
-    );
-    println!("wrote {}", out.display());
-    Ok(ExitCode::SUCCESS)
-}
-
-fn run_report(program: &sfcc_backend::Program, args: &[i64]) -> Result<(), String> {
-    // The VM zero-fills missing argument registers; insist on an exact
-    // argument count here so a forgotten `-- <n>` fails loudly instead of
-    // silently running `main` on zeros.
-    if let Some(id) = program.func_id("main.main") {
-        let arity = program.func(id).arity as usize;
-        if args.len() != arity {
-            return Err(format!(
-                "main.main takes {arity} argument(s), got {} (pass them after `--`)",
-                args.len()
-            ));
-        }
-    }
-    let out = run(program, "main.main", args, VmOptions::default())
-        .map_err(|e| format!("runtime error: {e:?}"))?;
-    for value in &out.prints {
-        println!("{value}");
-    }
-    match out.return_value {
-        Some(v) => println!("main.main({args:?}) = {v}"),
-        None => println!("main.main({args:?}) returned"),
-    }
-    println!("({} instructions executed)", out.executed);
-    Ok(())
-}
-
-fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("run", &flags) {
-        return result;
-    }
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!("`run` expects one project directory\n\n{USAGE}"));
-    };
-    let (builder, report) = build_project(&flags, Path::new(dir))?;
-    let (_, _, skipped) = report.outcome_totals();
-    println!(
-        "built {} module(s) ({} recompiled, {} pass slot(s) skipped)",
-        report.modules.len(),
-        report.rebuilt_count(),
-        skipped,
-    );
-    if flags.fn_cache {
-        let stats = builder.compiler().cache_stats();
-        println!("fn-cache: {} hit(s), {} miss(es)", stats.hits, stats.misses);
-    }
-    run_report(&report.program, &flags.program_args)?;
+    print!("{text}");
     Ok(ExitCode::SUCCESS)
 }
 
@@ -518,39 +370,8 @@ fn cmd_exec(args: &[String]) -> Result<ExitCode, String> {
     };
     let program =
         load_image(Path::new(image)).map_err(|e| format!("cannot load `{image}`: {e}"))?;
-    run_report(&program, &flags.program_args)?;
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_ir(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("ir", &flags) {
-        return result;
-    }
-    let [dir, module] = flags.operands.as_slice() else {
-        return Err(format!(
-            "`ir` expects a project directory and a module name\n\n{USAGE}"
-        ));
-    };
-    let (_, report) = build_project(&flags, Path::new(dir))?;
-    let found = report
-        .module(module)
-        .ok_or_else(|| format!("no module `{module}` in `{dir}`"))?;
-    let output = found
-        .output
-        .as_ref()
-        .expect("a fresh builder recompiles every module");
-    print!("{}", sfcc_ir::module_to_string(&output.ir));
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_bc(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!("`bc` expects one project directory\n\n{USAGE}"));
-    };
-    let (_, report) = build_project(&flags, Path::new(dir))?;
-    print!("{}", disasm_program(&report.program));
+    let out = run_main(&program, &flags.program_args)?;
+    print!("{}", program_output(&out, &flags.program_args));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -751,73 +572,6 @@ fn cmd_stats(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Audits dependency soundness: an instrumented cold build (whose access
-/// diff covers every task kind) followed by a no-op rebuild (whose stamp
-/// audit covers store serves), findings merged. Read-only — saves no
-/// state and writes no report file — so it can run against a checkout
-/// without dirtying it. Exit codes: 0 clean, 1 findings, 2 build failure.
-fn cmd_depcheck(args: &[String]) -> Result<ExitCode, String> {
-    let flags = parse_flags(args)?;
-    if let Some(result) = try_daemon("depcheck", &flags) {
-        return result;
-    }
-    let [dir] = flags.operands.as_slice() else {
-        return Err(format!(
-            "`depcheck` expects one project directory\n\n{USAGE}"
-        ));
-    };
-    let dir = Path::new(dir);
-    let project = Project::from_dir(dir)
-        .map_err(|e| format!("cannot load project `{}`: {e}", dir.display()))?;
-    if project.is_empty() {
-        return Err(format!("no .mc files in `{}`", dir.display()));
-    }
-    let mut builder = Builder::new(Compiler::new(config_of(&flags, dir))).with_depcheck();
-    builder = match flags.jobs {
-        Some(jobs) => builder.with_jobs(jobs),
-        None => builder.with_parallelism(),
-    };
-    // Build failures are exit code 2 — distinct from "findings" (1) so CI
-    // can tell a broken project apart from a lying one.
-    let first = match builder.build(&project) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("depcheck: cold build failed: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
-    let mut second = match builder.build(&project) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("depcheck: no-op rebuild failed: {e}");
-            return Ok(ExitCode::from(2));
-        }
-    };
-    let mut merged = first.depcheck.clone().unwrap_or_default();
-    merged.merge(second.depcheck.take().unwrap_or_default());
-    let clean = merged.is_clean();
-    if flags.report_json {
-        // The emitted report is the rebuild's, carrying the merged verdict
-        // of both audited builds.
-        second.depcheck = Some(merged);
-        println!("{}", second.to_json());
-    } else {
-        print!("{}", merged.render());
-        if clean {
-            println!(
-                "depcheck `{}`: clean — every declared dependency was accessed and \
-                 every access was declared",
-                dir.display()
-            );
-        }
-    }
-    Ok(if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    })
-}
-
 // ─── build daemon: `minicc serve` / `minicc client` / `--daemon` ───
 
 fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
@@ -877,166 +631,100 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Resolves a path the daemon must interpret against *this* process's cwd.
-fn absolutize(path: &Path) -> String {
-    if path.is_absolute() {
-        path.display().to_string()
-    } else {
-        std::env::current_dir()
-            .unwrap_or_default()
-            .join(path)
-            .display()
-            .to_string()
-    }
-}
-
-/// The session-flag args of a daemon request (the daemon keys sessions on
-/// these, so the rendering is canonical: fixed order, no defaults).
-fn session_args(flags: &BuildFlags) -> Vec<String> {
-    let mut args = Vec::new();
-    if flags.stateful {
-        args.push("--stateful".to_string());
-    }
-    if flags.fn_cache {
-        args.push("--fn-cache".to_string());
-    }
-    if let Some(cas) = &flags.cas {
-        args.push("--cas".to_string());
-        args.push(absolutize(cas));
-    }
-    if let Some(budget) = flags.cas_budget {
-        args.push("--cas-budget".to_string());
-        args.push(budget.to_string());
-    }
-    if let Some(jobs) = flags.jobs {
-        args.push("--jobs".to_string());
-        args.push(jobs.to_string());
-    }
-    if flags.durable {
-        args.push("--durable".to_string());
-    }
-    if flags.opt != "-O2" {
-        args.push(flags.opt.to_string());
-    }
-    args
-}
-
-/// Builds the daemon request of a build-class command from parsed flags.
+/// Builds the daemon request of a build-class command. `--trace` is
+/// refused: a daemon build is not traced, and exiting 0 without the trace
+/// file would hide that.
 fn remote_request(cmd: &str, flags: &BuildFlags) -> Result<Request, String> {
-    let (dir, module) = match (cmd, flags.operands.as_slice()) {
-        ("ir", [dir, module]) => (dir, Some(module.clone())),
-        (_, [dir]) => (dir, None),
-        ("ir", _) => {
-            return Err(format!(
-                "`ir` expects a project directory and a module name\n\n{USAGE}"
-            ));
-        }
-        _ => return Err(format!("`{cmd}` expects one project directory\n\n{USAGE}")),
-    };
+    if flags.trace.is_some() {
+        return Err(format!(
+            "`--trace` cannot be combined with `--daemon` (or `client`): daemon builds \
+             are not traced; build locally to export a trace\n\n{USAGE}"
+        ));
+    }
+    let (dir, module) = operands(cmd, flags)?;
     let dir = std::fs::canonicalize(dir)
         .map_err(|e| format!("cannot resolve project directory `{dir}`: {e}"))?;
+    // The daemon resolves paths against its own working directory.
+    let out = flags
+        .output
+        .as_deref()
+        .map(|path| std::path::absolute(path).unwrap_or_else(|_| path.to_path_buf()));
     Ok(Request {
         cmd: cmd.to_string(),
         dir: Some(dir.display().to_string()),
-        module,
-        out: flags.output.as_deref().map(absolutize),
-        args: session_args(flags),
+        module: module.map(str::to_string),
+        out: out.map(|path| path.display().to_string()),
+        args: flags.session.to_args(),
         prog_args: flags.program_args.clone(),
     })
 }
 
-/// Extracts an integer field from a response body.
-fn body_num(reply: &Reply, key: &str) -> i64 {
-    match reply.body.get(key) {
-        Some(sfcc_trace::json::Value::Num(n)) => *n as i64,
-        _ => 0,
-    }
+/// Reports a failed daemon reply on stderr and returns its documented exit
+/// code; `None` for a successful reply.
+fn reply_error(cmd: &str, reply: &Reply) -> Option<ExitCode> {
+    let (kind, message) = reply.error.as_ref()?;
+    eprintln!("daemon error ({}): {message}", kind.label());
+    Some(match kind {
+        ErrorKind::Busy => ExitCode::from(3),
+        ErrorKind::Timeout => ExitCode::from(4),
+        ErrorKind::Build if cmd == "depcheck" => ExitCode::from(2),
+        _ => ExitCode::FAILURE,
+    })
 }
 
-/// Prints a daemon reply the way the local command would print its own
-/// result, and maps it to the documented exit code.
-fn render_reply(request: &Request, reply: &Reply) -> ExitCode {
-    if !reply.ok {
-        let (kind, message) = reply
-            .error
-            .clone()
-            .unwrap_or((ErrorKind::Internal, String::new()));
-        eprintln!("daemon error ({}): {message}", kind.label());
-        return match kind {
-            ErrorKind::Busy => ExitCode::from(3),
-            ErrorKind::Timeout => ExitCode::from(4),
-            ErrorKind::Build if request.cmd == "depcheck" => ExitCode::from(2),
-            _ => ExitCode::FAILURE,
-        };
+/// Prints a build-class daemon reply through the renderer the cold command
+/// uses, decoding the summary from the report the reply embeds.
+fn render_reply(request: &Request, flags: &BuildFlags, reply: &Reply) -> Result<ExitCode, String> {
+    if let Some(code) = reply_error(&request.cmd, reply) {
+        return Ok(code);
     }
+    let body = &reply.body;
+    let raw_report = || {
+        json::raw_field(&reply.raw, "report")?
+            .ok_or_else(|| "daemon reply carries no report".to_string())
+    };
+    let summary = || {
+        BuildSummary::from_report_json(body.get("report").ok_or("daemon reply carries no report")?)
+    };
+    let text = |key: &str| body.get(key).and_then(Value::as_str).unwrap_or_default();
+    let (dir, _) = operands(&request.cmd, flags)?;
     match request.cmd.as_str() {
-        "build" => {
-            let recovered = body_num(reply, "recovered");
-            if recovered > 0 {
-                println!("recovered from {recovered} corrupt persistent file(s)");
-            }
-            println!(
-                "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)",
-                body_num(reply, "modules"),
-                body_num(reply, "rebuilt"),
-                body_num(reply, "wall_ns") as f64 / 1e6,
-                body_num(reply, "active"),
-                body_num(reply, "dormant"),
-                body_num(reply, "skipped"),
-                body_num(reply, "hits"),
-                body_num(reply, "misses"),
-            );
-            if let Some(image) = reply.body.get("image").and_then(|v| v.as_str()) {
-                println!("wrote {image}");
-            }
-            ExitCode::SUCCESS
-        }
+        "build" if flags.report_json => println!("{}", raw_report()?),
+        "build" => print!("{}", summary()?.build_lines(text("image"))),
         "run" => {
-            if let Some(prints) = reply.body.get("prints").and_then(|v| v.as_arr()) {
-                for value in prints {
-                    if let sfcc_trace::json::Value::Num(n) = value {
-                        println!("{}", *n as i64);
-                    }
-                }
-            }
-            let args = &request.prog_args;
-            match reply.body.get("return") {
-                Some(sfcc_trace::json::Value::Num(v)) => {
-                    println!("main.main({args:?}) = {}", *v as i64);
-                }
-                _ => println!("main.main({args:?}) returned"),
-            }
-            println!("({} instructions executed)", body_num(reply, "executed"));
-            ExitCode::SUCCESS
+            let int = |v: &Value| match v {
+                Value::Num(n) => Some(*n as i64),
+                _ => None,
+            };
+            let out = RunOutput {
+                prints: body
+                    .get("prints")
+                    .and_then(Value::as_arr)
+                    .unwrap_or_default()
+                    .iter()
+                    .filter_map(int)
+                    .collect(),
+                return_value: body.get("return").and_then(int),
+                executed: body.get("executed").and_then(Value::as_u64).unwrap_or(0),
+                per_function: Vec::new(),
+            };
+            print!(
+                "{}{}",
+                summary()?.run_lines(flags.session.fn_cache),
+                program_output(&out, &flags.program_args)
+            );
         }
-        "ir" => {
-            if let Some(ir) = reply.body.get("ir").and_then(|v| v.as_str()) {
-                print!("{ir}");
-            }
-            ExitCode::SUCCESS
-        }
-        "depcheck" => {
-            if let Some(render) = reply.body.get("render").and_then(|v| v.as_str()) {
-                print!("{render}");
-            }
-            let clean = reply
-                .body
-                .get("clean")
-                .and_then(|v| v.as_bool())
-                .unwrap_or(false);
-            if clean {
-                println!("depcheck (warm daemon serve): clean");
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        // ping/stats/shutdown: show the raw JSON body.
+        "ir" => print!("{}", text("ir")),
         _ => {
-            println!("{}", reply.raw);
-            ExitCode::SUCCESS
+            let clean = body.get("clean").and_then(Value::as_bool).unwrap_or(false);
+            if flags.report_json {
+                println!("{}", raw_report()?);
+                return Ok(ExitCode::from(u8::from(!clean)));
+            }
+            return Ok(print_depcheck(text("render"), clean, dir));
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Whether a daemon answers pings at `socket` right now.
@@ -1047,25 +735,23 @@ fn daemon_reachable(socket: &Path) -> bool {
 }
 
 /// Routes a build-class command through `--daemon` when the daemon is
-/// reachable. `None` means "serve locally instead" (no daemon requested,
-/// or the daemon is unreachable — the auto-connect fallback).
-fn try_daemon(cmd: &str, flags: &BuildFlags) -> Option<Result<ExitCode, String>> {
-    let socket = flags.daemon.as_deref()?;
+/// reachable. `Ok(None)` means "serve locally instead" (no daemon
+/// requested, or the daemon is unreachable — the auto-connect fallback).
+fn try_daemon(cmd: &str, flags: &BuildFlags) -> Result<Option<ExitCode>, String> {
+    let Some(socket) = flags.daemon.as_deref() else {
+        return Ok(None);
+    };
+    let request = remote_request(cmd, flags)?;
     if !daemon_reachable(socket) {
         eprintln!(
             "daemon at `{}` is unreachable; serving locally",
             socket.display()
         );
-        return None;
+        return Ok(None);
     }
-    let request = match remote_request(cmd, flags) {
-        Ok(request) => request,
-        Err(e) => return Some(Err(e)),
-    };
-    match sfcc_daemon::roundtrip(socket, &request) {
-        Ok(reply) => Some(Ok(render_reply(&request, &reply))),
-        Err(e) => Some(Err(format!("daemon request failed: {e}"))),
-    }
+    let reply = sfcc_daemon::roundtrip(socket, &request)
+        .map_err(|e| format!("daemon request failed: {e}"))?;
+    render_reply(&request, flags, &reply).map(Some)
 }
 
 fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
@@ -1081,11 +767,12 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
     };
     let socket = Path::new(socket);
     match cmd.as_str() {
+        // ping/stats: show the raw JSON body.
         "ping" | "stats" => match sfcc_daemon::roundtrip(socket, &Request::bare(cmd)) {
-            Ok(reply) => {
-                let request = Request::bare(cmd);
-                Ok(render_reply(&request, &reply))
-            }
+            Ok(reply) => Ok(reply_error(cmd, &reply).unwrap_or_else(|| {
+                println!("{}", reply.raw);
+                ExitCode::SUCCESS
+            })),
             Err(e) => {
                 eprintln!("{e}");
                 Ok(ExitCode::from(2))
@@ -1107,7 +794,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             let flags = parse_flags(rest)?;
             let request = remote_request(cmd, &flags)?;
             match sfcc_daemon::roundtrip(socket, &request) {
-                Ok(reply) => Ok(render_reply(&request, &reply)),
+                Ok(reply) => render_reply(&request, &flags, &reply),
                 Err(e) => {
                     eprintln!("{e}");
                     Ok(ExitCode::from(2))

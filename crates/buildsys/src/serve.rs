@@ -1,31 +1,30 @@
-//! The warm build service behind `minicc serve`.
+//! The build session behind every build-class `minicc` command — one
+//! session code path, served once or kept resident.
 //!
-//! `sfcc-daemon` owns sockets, framing, admission, and session slots; this
-//! module supplies what it serves: a [`BuildService`] wrapping a
-//! persistent [`Builder`] whose query engine, function cache, CAS handle,
-//! and per-function dormancy stamps stay resident between requests. A warm
-//! serve re-validates inputs through the engine's stamps (the per-function
-//! `state:m::f` dormancy inputs included) instead of reloading state from
-//! disk, which is exactly the paper's statefulness applied across process
-//! boundaries.
-//!
-//! Request semantics mirror the cold CLI byte-for-byte: a `build` request
-//! parks the previous report, builds, persists state through the
-//! `CommitDir` protocol, writes `.sfcc-report.json`, and writes the image
-//! — the same durable ops in the same order as `minicc build`, so a crash
-//! mid-request leaves exactly the states a cold build's crash would, and
-//! the differential suite can hold warm responses to cold-build
-//! byte-identity.
+//! A [`BuildService`] wraps a [`Builder`] configured from [`SessionFlags`]
+//! and answers typed build / run / ir / depcheck calls. A cold `minicc
+//! build` opens one and serves a single call; `minicc serve` (through
+//! `sfcc-daemon`, which owns sockets, framing, admission, and session
+//! slots) keeps one per project resident, so its query engine, function
+//! cache, CAS handle, and per-function dormancy stamps survive between
+//! requests — the paper's statefulness applied across process boundaries.
+//! Either way a build performs the same durable ops in the same order
+//! (park report → build → commit state → write report → write image), so
+//! a crash mid-request leaves exactly the states a cold build's crash
+//! would, and both routes print from one typed [`BuildSummary`].
 
-use crate::{Builder, DepMutations, Project};
-use sfcc::{Compiler, Config, Durability};
-use sfcc_backend::{run, VmOptions};
+use crate::report::FngrainStats;
+use crate::{BuildReport, Builder, DepMutations, Project};
+use sfcc::{Compiler, Config, Durability, OptLevel};
+use sfcc_backend::{run, Program, RunOutput, VmOptions};
 use sfcc_daemon::{Request, Service};
-use sfcc_trace::json;
+use sfcc_trace::json::{self, Value};
+use sfcc_trace::MetricsSnapshot;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// The build flags one daemon session is keyed under — the subset of
-/// `minicc` build flags that makes sense per-session.
+/// The build flags a session is configured (and a daemon session keyed)
+/// under — the subset of `minicc` build flags that outlives one invocation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SessionFlags {
     /// `--stateful`: persist dormancy state in `<dir>/.sfcc-state`.
@@ -40,76 +39,126 @@ pub struct SessionFlags {
     pub jobs: Option<usize>,
     /// `--durable`: fsync durable writes.
     pub durable: bool,
-    /// `-O0` / `-O1` / `-O2`.
-    pub opt: u8,
+    /// `-O0` / `-O1` / `-O2` (the default).
+    pub opt: OptLevel,
 }
 
 impl SessionFlags {
-    /// Parses the `args` of a daemon request (verbatim CLI flag syntax).
+    /// Parses session flags (verbatim CLI flag syntax), e.g. the `args` of
+    /// a daemon request.
     ///
     /// # Errors
     ///
     /// Names the first unknown or malformed flag.
     pub fn parse(args: &[String]) -> Result<SessionFlags, String> {
-        let mut flags = SessionFlags {
-            opt: 2,
-            ..SessionFlags::default()
-        };
+        let mut flags = SessionFlags::default();
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--stateful" => flags.stateful = true,
-                "--stateless" => flags.stateful = false,
-                "--fn-cache" => flags.fn_cache = true,
-                "--cas" => {
-                    let dir = iter.next().ok_or("`--cas` expects a store directory")?;
-                    flags.cas = Some(PathBuf::from(dir));
-                }
-                "--cas-budget" => {
-                    let value = iter.next().ok_or("`--cas-budget` expects a byte count")?;
-                    flags.cas_budget =
-                        Some(value.parse().map_err(|_| {
-                            format!("`--cas-budget` expects a number, got `{value}`")
-                        })?);
-                }
-                "--jobs" => {
-                    let value = iter.next().ok_or("`--jobs` expects a worker count")?;
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| format!("`--jobs` expects a number, got `{value}`"))?;
-                    if n == 0 {
-                        return Err("`--jobs` expects at least 1 worker".to_string());
-                    }
-                    flags.jobs = Some(n);
-                }
-                "--parallel" => flags.jobs = None,
-                "--durable" => flags.durable = true,
-                "-O0" => flags.opt = 0,
-                "-O1" => flags.opt = 1,
-                "-O2" => flags.opt = 2,
-                other => return Err(format!("unknown session flag `{other}`")),
+            if !flags.accept(arg, &mut iter)? {
+                return Err(format!("unknown session flag `{arg}`"));
             }
         }
         Ok(flags)
     }
 
-    /// The compiler configuration these flags select for `dir` — the same
-    /// mapping the cold CLI applies, environment fallbacks
-    /// (`SFCC_CAS`, `SFCC_CAS_BUDGET`) included.
+    /// Applies `arg` when it is a session flag, taking its value from
+    /// `rest`; `Ok(false)` leaves a non-session argument to the caller.
+    ///
+    /// # Errors
+    ///
+    /// A session flag with a missing or malformed value.
+    pub fn accept<'a>(
+        &mut self,
+        arg: &str,
+        rest: &mut impl Iterator<Item = &'a String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--stateful" => self.stateful = true,
+            "--stateless" => self.stateful = false,
+            "--fn-cache" => self.fn_cache = true,
+            "--cas" => {
+                let dir = rest.next().ok_or("`--cas` expects a store directory")?;
+                self.cas = Some(PathBuf::from(dir));
+            }
+            "--cas-budget" => {
+                let value = rest.next().ok_or("`--cas-budget` expects a byte count")?;
+                self.cas_budget = Some(
+                    value
+                        .parse()
+                        .map_err(|_| format!("`--cas-budget` expects a number, got `{value}`"))?,
+                );
+            }
+            "--jobs" => {
+                let value = rest.next().ok_or("`--jobs` expects a worker count")?;
+                let n: usize = value
+                    .parse()
+                    .map_err(|_| format!("`--jobs` expects a number, got `{value}`"))?;
+                if n == 0 {
+                    return Err("`--jobs` expects at least 1 worker".to_string());
+                }
+                self.jobs = Some(n);
+            }
+            "--parallel" => self.jobs = None,
+            "--durable" => self.durable = true,
+            "-O0" => self.opt = OptLevel::O0,
+            "-O1" => self.opt = OptLevel::O1,
+            "-O2" => self.opt = OptLevel::O2,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// The canonical argument rendering [`SessionFlags::parse`] reads back:
+    /// fixed order, defaults omitted, the store path made absolute (a
+    /// daemon keys sessions on these args and resolves paths against its
+    /// own working directory).
+    pub fn to_args(&self) -> Vec<String> {
+        let mut args = Vec::new();
+        if self.stateful {
+            args.push("--stateful".to_string());
+        }
+        if self.fn_cache {
+            args.push("--fn-cache".to_string());
+        }
+        if let Some(cas) = &self.cas {
+            let cas = std::path::absolute(cas).unwrap_or_else(|_| cas.clone());
+            args.push("--cas".to_string());
+            args.push(cas.display().to_string());
+        }
+        if let Some(budget) = self.cas_budget {
+            args.push("--cas-budget".to_string());
+            args.push(budget.to_string());
+        }
+        if let Some(jobs) = self.jobs {
+            args.push("--jobs".to_string());
+            args.push(jobs.to_string());
+        }
+        if self.durable {
+            args.push("--durable".to_string());
+        }
+        match self.opt {
+            OptLevel::O0 => args.push("-O0".to_string()),
+            OptLevel::O1 => args.push("-O1".to_string()),
+            OptLevel::O2 => {}
+        }
+        args
+    }
+
+    /// The compiler configuration these flags select for `dir`, environment
+    /// fallbacks (`SFCC_CAS`, `SFCC_CAS_BUDGET`) included. Worker counts are
+    /// not compiler configuration: the session's [`Builder`] owns them.
     pub fn config(&self, dir: &Path) -> Config {
         let mut config = if self.stateful {
             Config::stateful().with_state_path(dir.join(".sfcc-state"))
         } else {
             Config::stateless()
-        };
-        config = match self.opt {
-            0 => config.with_opt_level(sfcc::OptLevel::O0),
-            1 => config.with_opt_level(sfcc::OptLevel::O1),
-            _ => config,
-        };
+        }
+        .with_opt_level(self.opt);
         if self.fn_cache {
             config = config.with_function_cache();
         }
+        // `--cas` wins over the environment; either attaches the shared
+        // store (and implies the function cache, which fronts it).
         let cas_dir = self
             .cas
             .clone()
@@ -126,12 +175,7 @@ impl SessionFlags {
         if self.durable {
             config = config.with_durability(Durability::Durable);
         }
-        let jobs = self.jobs.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(usize::from)
-                .unwrap_or(1)
-        });
-        config.with_jobs(jobs)
+        config
     }
 }
 
@@ -155,25 +199,177 @@ pub fn parse_mutations(spec: &str) -> Result<DepMutations, String> {
     Ok(mutations)
 }
 
-/// The warm per-project session: one persistent [`Builder`] plus the flags
-/// it was configured under.
+/// Runs `main.main` of `program` on `args`. The VM zero-fills missing
+/// argument registers, so the argument count must match exactly: a
+/// forgotten `-- <n>` fails loudly instead of running `main` on zeros.
+///
+/// # Errors
+///
+/// An arity mismatch or a runtime error.
+pub fn run_main(program: &Program, args: &[i64]) -> Result<RunOutput, String> {
+    if let Some(id) = program.func_id("main.main") {
+        let arity = program.func(id).arity as usize;
+        if args.len() != arity {
+            return Err(format!(
+                "main.main takes {arity} argument(s), got {} (pass them after `--`)",
+                args.len()
+            ));
+        }
+    }
+    run(program, "main.main", args, VmOptions::default())
+        .map_err(|e| format!("runtime error: {e:?}"))
+}
+
+/// What a build did: the one source of the human output of both routes.
+/// The cold CLI takes it from the in-memory report ([`BuildSummary::of`]),
+/// a daemon client from the report its reply embeds
+/// ([`BuildSummary::from_report_json`]).
+#[derive(Debug, Clone)]
+pub struct BuildSummary {
+    modules: u64,
+    rebuilt: u64,
+    wall_ns: u64,
+    active: u64,
+    dormant: u64,
+    skipped: u64,
+    hits: u64,
+    misses: u64,
+    fngrain: FngrainStats,
+    recovered: u64,
+    quarantined: Vec<String>,
+    cache_hits: u64,
+    cache_misses: u64,
+}
+
+impl BuildSummary {
+    /// The summary of an in-memory report.
+    pub fn of(report: &BuildReport) -> BuildSummary {
+        BuildSummary::from_metrics(&report.metrics, report.quarantined.clone())
+    }
+
+    /// The summary of a report as [`BuildReport::to_json`] rendered it.
+    ///
+    /// # Errors
+    ///
+    /// A document without the report's `metrics` or `recovery` blocks.
+    pub fn from_report_json(doc: &Value) -> Result<BuildSummary, String> {
+        let metrics = doc
+            .get("metrics")
+            .ok_or("report has no \"metrics\" block")?;
+        let quarantined = doc
+            .get("recovery")
+            .and_then(|r| r.get("quarantined"))
+            .and_then(Value::as_arr)
+            .ok_or("report has no \"recovery.quarantined\" list")?
+            .iter()
+            .filter_map(|path| path.as_str().map(str::to_string))
+            .collect();
+        Ok(BuildSummary::from_metrics(
+            &MetricsSnapshot::from_json(metrics)?,
+            quarantined,
+        ))
+    }
+
+    /// Every count comes from the build's metrics registry, the report's
+    /// single source for its numeric fields.
+    fn from_metrics(metrics: &MetricsSnapshot, quarantined: Vec<String>) -> BuildSummary {
+        let m = |name: &str| metrics.scalar(name).unwrap_or(0);
+        BuildSummary {
+            modules: m("build.modules"),
+            rebuilt: m("build.rebuilt_count"),
+            wall_ns: m("build.wall_ns"),
+            active: m("outcomes.active"),
+            dormant: m("outcomes.dormant"),
+            skipped: m("outcomes.skipped"),
+            hits: m("query.hits"),
+            misses: m("query.misses"),
+            fngrain: FngrainStats {
+                signature_hits: m("fngrain.signature_hits"),
+                signature_misses: m("fngrain.signature_misses"),
+                fn_tasks_executed: m("fngrain.fn_tasks_executed"),
+                cutoff_saved: m("fngrain.cutoff_saved"),
+            },
+            recovered: m("recovery.recovered_files"),
+            quarantined,
+            cache_hits: m("cache.hits"),
+            cache_misses: m("cache.misses"),
+        }
+    }
+
+    /// What `build` prints: recovery (when any), the build and fn-grain
+    /// lines, and the image written.
+    pub fn build_lines(&self, image: &str) -> String {
+        let mut out = String::new();
+        if self.recovered > 0 {
+            let quarantined = if self.quarantined.is_empty() {
+                "(none)".to_string()
+            } else {
+                self.quarantined.join(", ")
+            };
+            out = format!(
+                "recovered from {} corrupt persistent file(s); quarantined: {quarantined}\n",
+                self.recovered
+            );
+        }
+        let f = &self.fngrain;
+        out + &format!(
+            "built {} module(s) ({} recompiled) in {:.2} ms; pass slots: {} active, {} dormant, {} skipped; queries: {} hit(s), {} miss(es)\n\
+             fn-grain: {} signature pin(s) held, {} re-extracted; {} function pipeline task(s) ran, {} saved by cutoff\n\
+             wrote {image}\n",
+            self.modules,
+            self.rebuilt,
+            self.wall_ns as f64 / 1e6,
+            self.active,
+            self.dormant,
+            self.skipped,
+            self.hits,
+            self.misses,
+            f.signature_hits,
+            f.signature_misses,
+            f.fn_tasks_executed,
+            f.cutoff_saved,
+        )
+    }
+
+    /// What `run` prints before the program's output; the function-cache
+    /// line only under `--fn-cache`.
+    pub fn run_lines(&self, fn_cache: bool) -> String {
+        let mut out = format!(
+            "built {} module(s) ({} recompiled, {} pass slot(s) skipped)\n",
+            self.modules, self.rebuilt, self.skipped,
+        );
+        if fn_cache {
+            let _ = writeln!(
+                out,
+                "fn-cache: {} hit(s), {} miss(es)",
+                self.cache_hits, self.cache_misses
+            );
+        }
+        out
+    }
+}
+
+/// One project's build session: a [`Builder`] plus the flags it was
+/// configured under.
 pub struct BuildService {
     dir: PathBuf,
     flags: SessionFlags,
     builder: Builder,
     /// Whether the builder holds state newer than the last durable save.
     /// Builds save their own state before responding, so this only flips
-    /// when a future request kind mutates without saving.
+    /// when a build dies between mutating and saving.
     dirty: bool,
 }
 
 /// The report file every build persists, `minicc stats`'s input.
 pub const REPORT_FILE: &str = ".sfcc-report.json";
-/// Where the previous report parks while a build runs.
+/// Where the previous report is parked while a build runs. A build that
+/// fails leaves it here, so `minicc stats` can tell "the last build did
+/// not complete" apart from "here is the last build's telemetry".
 pub const STALE_REPORT_FILE: &str = ".sfcc-report.json.stale";
 
 impl BuildService {
-    /// A warm session for `dir` under `args` (verbatim CLI build flags).
+    /// A daemon session for `dir` under `args` (verbatim CLI build flags).
     /// Mutation specs (the depcheck fuzzing hook) come from the
     /// `SFCC_DAEMON_MUTATIONS` environment variable.
     ///
@@ -200,7 +396,15 @@ impl BuildService {
         args: &[String],
         mutations: DepMutations,
     ) -> Result<BuildService, String> {
-        let flags = SessionFlags::parse(args)?;
+        Ok(BuildService::open(
+            dir,
+            SessionFlags::parse(args)?,
+            mutations,
+        ))
+    }
+
+    /// A session for `dir` under already-parsed `flags`.
+    pub fn open(dir: &Path, flags: SessionFlags, mutations: DepMutations) -> BuildService {
         let mut builder = Builder::new(Compiler::new(flags.config(dir)));
         builder = match flags.jobs {
             Some(jobs) => builder.with_jobs(jobs),
@@ -209,12 +413,18 @@ impl BuildService {
         if !mutations.is_empty() {
             builder = builder.with_dep_mutations(mutations);
         }
-        Ok(BuildService {
+        BuildService {
             dir: dir.to_path_buf(),
             flags,
             builder,
             dirty: false,
-        })
+        }
+    }
+
+    /// Records a span trace of every build into [`BuildReport::trace`].
+    pub fn with_tracing(mut self) -> BuildService {
+        self.builder = self.builder.with_tracing();
+        self
     }
 
     /// A [`sfcc_daemon::ServiceFactory`] over [`BuildService::new`].
@@ -231,11 +441,19 @@ impl BuildService {
         Ok(project)
     }
 
-    /// One warm build with the cold CLI's exact durable-op sequence: park
-    /// report → build → save state → write report → unpark. Returns the
-    /// report.
-    fn build_once(&mut self) -> Result<crate::BuildReport, String> {
+    /// Builds the project: park the previous report → build → save state
+    /// (when stateful) → write `.sfcc-report.json` → drop the parked
+    /// report. The report is written with plain `std::fs`, deliberately
+    /// outside the fault-injectable I/O layer, so telemetry never shifts a
+    /// fault plan's op numbering.
+    ///
+    /// # Errors
+    ///
+    /// The build, the state save, or the report write failed.
+    pub fn build_report(&mut self) -> Result<BuildReport, String> {
         let project = self.load_project()?;
+        // Park the previous report first: if this build fails or crashes,
+        // `stats` must not serve yesterday's numbers as today's.
         let report_path = self.dir.join(REPORT_FILE);
         let stale_path = self.dir.join(STALE_REPORT_FILE);
         if report_path.exists() {
@@ -260,12 +478,11 @@ impl BuildService {
         Ok(report)
     }
 
-    fn handle_build(&mut self, request: &Request) -> Result<String, String> {
-        let report = self.build_once()?;
-        let out = match request.out.as_deref() {
-            Some(path) => PathBuf::from(path),
-            None => self.dir.with_extension("sbx"),
-        };
+    /// [`BuildService::build_report`], then writes the linked image to
+    /// `out` (default `<dir>.sbx`); returns the report and the image path.
+    pub fn build(&mut self, out: Option<&Path>) -> Result<(BuildReport, PathBuf), String> {
+        let report = self.build_report()?;
+        let out = out.map_or_else(|| self.dir.with_extension("sbx"), Path::to_path_buf);
         let durability = if self.flags.durable {
             Durability::Durable
         } else {
@@ -273,119 +490,129 @@ impl BuildService {
         };
         sfcc_backend::image::save_with(&report.program, &out, durability)
             .map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
-        let (active, dormant, skipped) = report.outcome_totals();
-        let mut payload = String::from("\"image\":");
-        json::escape_into(&mut payload, &out.display().to_string());
-        payload.push_str(&format!(
-            ",\"modules\":{},\"rebuilt\":{},\"generation\":{},\"recovered\":{},\
-             \"active\":{active},\"dormant\":{dormant},\"skipped\":{skipped},\
-             \"hits\":{},\"misses\":{},\"wall_ns\":{},\"report\":{}",
-            report.modules.len(),
-            report.rebuilt_count(),
-            report.state_generation,
-            report.recovered_files,
-            report.query.hits,
-            report.query.misses,
-            report.wall_ns,
-            report.to_json(),
-        ));
-        Ok(payload)
+        Ok((report, out))
     }
 
-    fn handle_run(&mut self, request: &Request) -> Result<String, String> {
-        let report = self.build_once()?;
-        let args = &request.prog_args;
-        if let Some(id) = report.program.func_id("main.main") {
-            let arity = report.program.func(id).arity as usize;
-            if args.len() != arity {
-                return Err(format!(
-                    "main.main takes {arity} argument(s), got {} (pass them after `--`)",
-                    args.len()
-                ));
-            }
-        }
-        let out = run(&report.program, "main.main", args, VmOptions::default())
-            .map_err(|e| format!("runtime error: {e:?}"))?;
-        let mut payload = String::from("\"prints\":[");
-        for (i, value) in out.prints.iter().enumerate() {
-            if i > 0 {
-                payload.push(',');
-            }
-            payload.push_str(&value.to_string());
-        }
-        payload.push(']');
-        match out.return_value {
-            Some(v) => payload.push_str(&format!(",\"return\":{v}")),
-            None => payload.push_str(",\"return\":null"),
-        }
-        payload.push_str(&format!(
-            ",\"executed\":{},\"modules\":{},\"rebuilt\":{},\"skipped\":{}",
-            out.executed,
-            report.modules.len(),
-            report.rebuilt_count(),
-            report.outcome_totals().2,
-        ));
-        Ok(payload)
+    /// [`BuildService::build_report`], then [`run_main`] on `args`.
+    pub fn run(&mut self, args: &[i64]) -> Result<(BuildReport, RunOutput), String> {
+        let report = self.build_report()?;
+        let out = run_main(&report.program, args)?;
+        Ok((report, out))
     }
 
-    fn handle_ir(&mut self, request: &Request) -> Result<String, String> {
-        let module = request
-            .module
-            .as_deref()
-            .ok_or("`ir` requires a \"module\" field")?;
-        // Bring the warm store up to date with the tree first — the cold
-        // CLI's `ir` also builds before printing.
-        self.build_once()?;
+    /// [`BuildService::build_report`], then one module's optimized IR,
+    /// reassembled from the query store and rendered.
+    pub fn ir(&mut self, module: &str) -> Result<(BuildReport, String), String> {
+        let report = self.build_report()?;
         let ir = self
             .builder
             .module_ir(module)
             .ok_or_else(|| format!("no module `{module}` in `{}`", self.dir.display()))?;
-        let mut payload = String::from("\"module\":");
-        json::escape_into(&mut payload, module);
-        payload.push_str(",\"ir\":");
-        json::escape_into(&mut payload, &sfcc_ir::module_to_string(&ir));
-        Ok(payload)
+        Ok((report, sfcc_ir::module_to_string(&ir)))
     }
 
-    fn handle_depcheck(&mut self) -> Result<String, String> {
+    /// Audits dependency soundness: an instrumented build (whose access
+    /// diff covers every task kind it executes) and a no-op rebuild (whose
+    /// stamp audit covers store serves), findings merged into the
+    /// rebuild's report. Read-only — saves no state and writes no report
+    /// file — so it can run against a checkout without dirtying it.
+    ///
+    /// # Errors
+    ///
+    /// The project does not load or an audited build failed.
+    pub fn depcheck(&mut self) -> Result<BuildReport, String> {
         let project = self.load_project()?;
-        // Read-only audit: instrument the warm builder, run the serve plus
-        // a no-op rebuild, merge, and restore. No state save, no report
-        // file — exactly the cold `minicc depcheck` contract, applied to
-        // warm serves.
         self.builder.set_depcheck(true);
-        let audit: Result<crate::DepcheckReport, String> = (|| {
-            let first = self
-                .builder
-                .build(&project)
-                .map_err(|e| format!("depcheck: audited build failed: {e}"))?;
-            let mut second = self
-                .builder
-                .build(&project)
-                .map_err(|e| format!("depcheck: no-op rebuild failed: {e}"))?;
-            let mut merged = first.depcheck.clone().unwrap_or_default();
-            merged.merge(second.depcheck.take().unwrap_or_default());
-            Ok(merged)
-        })();
+        let audit = self
+            .builder
+            .build(&project)
+            .map_err(|e| format!("depcheck: audited build failed: {e}"))
+            .and_then(|first| {
+                let mut second = self
+                    .builder
+                    .build(&project)
+                    .map_err(|e| format!("depcheck: no-op rebuild failed: {e}"))?;
+                let mut merged = first.depcheck.unwrap_or_default();
+                merged.merge(second.depcheck.take().unwrap_or_default());
+                second.depcheck = Some(merged);
+                Ok(second)
+            });
         self.builder.set_depcheck(false);
-        let merged = audit?;
-        let mut payload = format!(
-            "\"clean\":{},\"findings\":{},\"render\":",
-            merged.is_clean(),
-            merged.findings.len()
-        );
-        json::escape_into(&mut payload, &merged.render());
-        Ok(payload)
+        audit
     }
+}
+
+/// Appends `,"report":<report JSON>` to a reply payload.
+fn push_report(payload: &mut String, report: &BuildReport) {
+    payload.push_str(",\"report\":");
+    payload.push_str(&report.to_json());
 }
 
 impl Service for BuildService {
     fn handle(&mut self, request: &Request) -> Result<String, String> {
         match request.cmd.as_str() {
-            "build" => self.handle_build(request),
-            "run" => self.handle_run(request),
-            "ir" => self.handle_ir(request),
-            "depcheck" => self.handle_depcheck(),
+            "build" => {
+                let (report, out) = self.build(request.out.as_deref().map(Path::new))?;
+                let (active, dormant, skipped) = report.outcome_totals();
+                let mut payload = String::from("\"image\":");
+                json::escape_into(&mut payload, &out.display().to_string());
+                payload.push_str(&format!(
+                    ",\"modules\":{},\"rebuilt\":{},\"generation\":{},\"recovered\":{},\
+                     \"active\":{active},\"dormant\":{dormant},\"skipped\":{skipped},\
+                     \"hits\":{},\"misses\":{},\"wall_ns\":{}",
+                    report.modules.len(),
+                    report.rebuilt_count(),
+                    report.state_generation,
+                    report.recovered_files,
+                    report.query.hits,
+                    report.query.misses,
+                    report.wall_ns,
+                ));
+                push_report(&mut payload, &report);
+                Ok(payload)
+            }
+            "run" => {
+                let (report, out) = self.run(&request.prog_args)?;
+                let prints: Vec<String> = out.prints.iter().map(i64::to_string).collect();
+                let mut payload = format!("\"prints\":[{}]", prints.join(","));
+                match out.return_value {
+                    Some(v) => payload.push_str(&format!(",\"return\":{v}")),
+                    None => payload.push_str(",\"return\":null"),
+                }
+                payload.push_str(&format!(
+                    ",\"executed\":{},\"modules\":{},\"rebuilt\":{},\"skipped\":{}",
+                    out.executed,
+                    report.modules.len(),
+                    report.rebuilt_count(),
+                    report.outcome_totals().2,
+                ));
+                push_report(&mut payload, &report);
+                Ok(payload)
+            }
+            "ir" => {
+                let module = request
+                    .module
+                    .as_deref()
+                    .ok_or("`ir` requires a \"module\" field")?;
+                let (_, ir) = self.ir(module)?;
+                let mut payload = String::from("\"module\":");
+                json::escape_into(&mut payload, module);
+                payload.push_str(",\"ir\":");
+                json::escape_into(&mut payload, &ir);
+                Ok(payload)
+            }
+            "depcheck" => {
+                let report = self.depcheck()?;
+                let audit = report.depcheck.as_ref().expect("depcheck merges an audit");
+                let mut payload = format!(
+                    "\"clean\":{},\"findings\":{},\"render\":",
+                    audit.is_clean(),
+                    audit.findings.len()
+                );
+                json::escape_into(&mut payload, &audit.render());
+                push_report(&mut payload, &report);
+                Ok(payload)
+            }
             other => Err(format!("session cannot serve `{other}`")),
         }
     }
@@ -403,5 +630,35 @@ impl Service for BuildService {
             self.dirty = false;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn session_flags_roundtrip_through_to_args() {
+        let args: Vec<String> = [
+            "--stateful",
+            "--fn-cache",
+            "--cas",
+            "/store",
+            "--cas-budget",
+            "4096",
+            "--jobs",
+            "3",
+            "--durable",
+            "-O1",
+        ]
+        .map(String::from)
+        .to_vec();
+        let flags = SessionFlags::parse(&args).unwrap();
+        assert_eq!(flags.to_args(), args, "canonical rendering");
+        assert_eq!(SessionFlags::parse(&flags.to_args()).unwrap(), flags);
+        let defaults = SessionFlags::parse(&["-O2".into(), "--parallel".into()]).unwrap();
+        assert_eq!(defaults, SessionFlags::default());
+        assert!(defaults.to_args().is_empty(), "defaults are omitted");
+        assert!(SessionFlags::parse(&["--report".into()]).is_err());
     }
 }

@@ -687,3 +687,213 @@ fn client_busy_and_timeout_exit_codes() {
     assert!(out.status.success());
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// `build`/`depcheck --report json --daemon` print the report the reply
+/// embeds — the same bytes the daemon's build persisted.
+#[test]
+fn quick_report_json_over_the_daemon_prints_the_report() {
+    let root = scratch_dir("serve-report");
+    let dir = root.join("p");
+    write_project(&dir, &v1_files());
+    let d = dir.to_str().unwrap();
+    let daemon = spawn_serve(&root, &[]);
+    let sock = daemon.socket().to_string();
+
+    let out = minicc(&[
+        "build",
+        "--daemon",
+        &sock,
+        "--stateful",
+        "--report",
+        "json",
+        d,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    sfcc_buildsys::validate_report_json(text.trim())
+        .unwrap_or_else(|e| panic!("not a build report ({e}): {text}"));
+    let persisted = std::fs::read_to_string(dir.join(".sfcc-report.json")).unwrap();
+    assert_eq!(
+        text.trim(),
+        persisted,
+        "printed report differs from the persisted one"
+    );
+
+    let out = minicc(&[
+        "depcheck",
+        "--daemon",
+        &sock,
+        "--stateful",
+        "--report",
+        "json",
+        d,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    sfcc_buildsys::validate_report_json(text.trim())
+        .unwrap_or_else(|e| panic!("not a build report ({e}): {text}"));
+    let doc = sfcc_trace::json::parse(text.trim()).unwrap();
+    let audit = doc.get("depcheck").unwrap();
+    assert_eq!(
+        audit.get("enabled").and_then(|v| v.as_bool()),
+        Some(true),
+        "{text}"
+    );
+    assert_eq!(
+        audit
+            .get("findings")
+            .and_then(|v| v.as_arr())
+            .map(<[_]>::len),
+        Some(0)
+    );
+
+    // Both requests were served by the daemon, not a local fallback.
+    let out = minicc(&["client", &sock, "stats"]);
+    assert!(stdout(&out).contains("\"serves\":2"), "{}", stdout(&out));
+    let out = daemon.shutdown_and_wait();
+    assert!(out.status.success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A daemon build is not traced, so `--trace` with `--daemon` (or
+/// `client`) is a usage error raised before any request reaches the
+/// daemon — never a silent exit 0 without the trace file.
+#[test]
+fn quick_trace_with_daemon_is_refused_before_any_request() {
+    let root = scratch_dir("serve-trace");
+    let dir = root.join("p");
+    write_project(&dir, &v1_files());
+    let d = dir.to_str().unwrap();
+    let trace = root.join("t.json");
+    let t = trace.to_str().unwrap();
+    let daemon = spawn_serve(&root, &[]);
+    let sock = daemon.socket().to_string();
+
+    let routed = minicc(&["build", "--daemon", &sock, "--trace", t, "--stateful", d]);
+    let direct = minicc(&["client", &sock, "build", d, "--trace", t]);
+    for out in [routed, direct] {
+        assert_eq!(out.status.code(), Some(1), "{}", stdout(&out));
+        let err = stderr(&out);
+        assert!(
+            err.contains("`--trace`") && err.contains("`--daemon`"),
+            "the usage error must name both flags: {err}"
+        );
+        assert!(stdout(&out).is_empty(), "{}", stdout(&out));
+    }
+    assert!(!trace.exists(), "no trace may be written");
+    let out = minicc(&["client", &sock, "stats"]);
+    let text = stdout(&out);
+    assert!(
+        text.contains("\"serves\":0") && text.contains("\"sessions_created\":0"),
+        "no build request may reach the daemon: {text}"
+    );
+    let out = daemon.shutdown_and_wait();
+    assert!(out.status.success());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Cold and `--daemon` runs of one command on two fresh copies of one tree
+/// print the same lines in the same order; only the build time and the
+/// image path may differ. The tree carries a corrupt state file, so the
+/// first build of each copy also reports its recovery.
+#[test]
+fn quick_cold_and_daemon_print_the_same_lines() {
+    let root = std::fs::canonicalize(scratch_dir("serve-parity")).unwrap();
+    let template = root.join("template");
+    std::fs::create_dir_all(&template).unwrap();
+    let demo = demo_copy("serve-parity-src");
+    for entry in std::fs::read_dir(&demo).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, template.join(path.file_name().unwrap())).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&demo);
+    let flags = ["--stateful", "--fn-cache", "--jobs", "1"];
+    let t = template.to_str().unwrap();
+    let out = minicc(&[&["build", t][..], &flags[..]].concat());
+    assert!(out.status.success(), "{}", stderr(&out));
+    let cache = std::fs::read_dir(&template)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| {
+            let name = p.file_name().unwrap().to_str().unwrap();
+            name.starts_with(".sfcc-state.ircache.g") && !name.ends_with(".corrupt")
+        })
+        .expect("a committed ircache generation");
+    std::fs::write(&cache, b"junk").unwrap();
+
+    let daemon = spawn_serve(&root, &[]);
+    let sock = daemon.socket().to_string();
+    let copy = |tag: &str| {
+        let dir = root.join(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&template).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+        dir.to_str().unwrap().to_string()
+    };
+    let normalize = |text: &str, dir: &str| -> Vec<String> {
+        text.replace(dir, "<dir>")
+            .lines()
+            .map(|line| {
+                if line.starts_with("wrote ") {
+                    return "wrote <image>".to_string();
+                }
+                match (line.find(") in "), line.find(" ms;")) {
+                    (Some(a), Some(b)) if a < b => format!("{}) in N{}", &line[..a], &line[b..]),
+                    _ => line.to_string(),
+                }
+            })
+            .collect()
+    };
+    for (cmd, extra) in [
+        ("build", vec![]),
+        ("run", vec!["--", "5"]),
+        ("ir", vec!["mathx"]),
+        ("depcheck", vec![]),
+    ] {
+        let cold_dir = copy(&format!("cold-{cmd}"));
+        let warm_dir = copy(&format!("warm-{cmd}"));
+        let (operands, args) = match extra.first() {
+            Some(&"--") => (vec![], extra.clone()),
+            _ => (extra.clone(), vec![]),
+        };
+        let cold = minicc(&[&[cmd, cold_dir.as_str()][..], &operands, &flags, &args].concat());
+        let warm = minicc(
+            &[
+                &[cmd, "--daemon", sock.as_str(), warm_dir.as_str()][..],
+                &operands,
+                &flags,
+                &args,
+            ]
+            .concat(),
+        );
+        assert!(cold.status.success(), "cold {cmd}: {}", stderr(&cold));
+        assert!(warm.status.success(), "daemon {cmd}: {}", stderr(&warm));
+        assert!(
+            !stderr(&warm).contains("serving locally"),
+            "{}",
+            stderr(&warm)
+        );
+        let cold_lines = normalize(&stdout(&cold), &cold_dir);
+        let warm_lines = normalize(&stdout(&warm), &warm_dir);
+        assert_eq!(
+            cold_lines, warm_lines,
+            "`{cmd}` prints differently over the daemon"
+        );
+        if cmd == "build" {
+            assert!(
+                cold_lines[0].starts_with(
+                    "recovered from 1 corrupt persistent file(s); quarantined: <dir>/"
+                ),
+                "{cold_lines:?}"
+            );
+            assert!(cold_lines[2].starts_with("fn-grain: "), "{cold_lines:?}");
+        }
+    }
+    let out = minicc(&["client", &sock, "stats"]);
+    assert!(stdout(&out).contains("\"serves\":4"), "{}", stdout(&out));
+    let out = daemon.shutdown_and_wait();
+    assert!(out.status.success());
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -90,6 +90,44 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// The source text of field `key` of the top-level object in `text`,
+/// verbatim — for forwarding an embedded document byte for byte. `None`
+/// when the object has no such field.
+///
+/// # Errors
+///
+/// `text` is not a JSON object.
+pub fn raw_field<'a>(text: &'a str, key: &str) -> Result<Option<&'a str>, String> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    p.expect(b'{')?;
+    p.skip_ws();
+    if p.peek() == Some(b'}') {
+        return Ok(None);
+    }
+    loop {
+        p.skip_ws();
+        let name = p.string()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        p.skip_ws();
+        let start = p.pos;
+        p.value()?;
+        if name == key {
+            return Ok(Some(&text[start..p.pos]));
+        }
+        p.skip_ws();
+        match p.peek() {
+            Some(b',') => p.pos += 1,
+            Some(b'}') => return Ok(None),
+            _ => return Err(format!("expected ',' or '}}' at byte {}", p.pos)),
+        }
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -243,12 +281,21 @@ impl Parser<'_> {
                         other => return Err(format!("bad escape '\\{}'", other as char)),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let ch = s.chars().next().unwrap();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar, validating only its own
+                    // bytes (the lead byte gives the width; a stray
+                    // continuation byte fails the check).
+                    let width = match lead {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let end = (self.pos + width).min(self.bytes.len());
+                    let ch = std::str::from_utf8(&self.bytes[self.pos..end])
+                        .ok()
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| "invalid utf-8 in string".to_string())?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -327,6 +374,57 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn large_multibyte_documents_roundtrip() {
+        // 1-, 2-, 3- and 4-byte characters; the document is well over
+        // 256 KiB, which the old whole-tail UTF-8 check made quadratic.
+        let unit = "a\u{e9}\u{20ac}\u{1f600}\"\\\n";
+        let strings: Vec<String> = (0..4096)
+            .map(|i| format!("{i}:{}", unit.repeat(i % 16 + 1)))
+            .collect();
+        let mut doc = String::from("[");
+        for (i, s) in strings.iter().enumerate() {
+            if i > 0 {
+                doc.push(',');
+            }
+            escape_into(&mut doc, s);
+        }
+        doc.push(']');
+        assert!(doc.len() >= 256 * 1024, "document is {} bytes", doc.len());
+        let v = parse(&doc).expect("parse");
+        let items = v.as_arr().unwrap();
+        assert_eq!(items.len(), strings.len());
+        for (item, s) in items.iter().zip(&strings) {
+            assert_eq!(item.as_str(), Some(s.as_str()));
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_in_strings_is_rejected() {
+        let mut p = Parser {
+            bytes: b"\"a\x80b\"",
+            pos: 0,
+        };
+        assert!(p.string().is_err(), "stray continuation byte");
+        let mut p = Parser {
+            bytes: b"\"\xe2\x82\"",
+            pos: 0,
+        };
+        assert!(p.string().is_err(), "truncated 3-byte sequence");
+    }
+
+    #[test]
+    fn raw_field_returns_the_verbatim_value() {
+        let text = r#"{"a": 1, "doc": {"x": [1, 2], "s": "\u00e9"} , "z": null}"#;
+        assert_eq!(
+            raw_field(text, "doc").unwrap(),
+            Some(r#"{"x": [1, 2], "s": "\u00e9"}"#)
+        );
+        assert_eq!(raw_field(text, "z").unwrap(), Some("null"));
+        assert_eq!(raw_field(text, "missing").unwrap(), None);
+        assert!(raw_field("[1]", "a").is_err());
     }
 
     #[test]
