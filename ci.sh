@@ -4,7 +4,9 @@
 #   ci.sh          full gate
 #   ci.sh --quick  fast sweep only: the pass manager's unit tests (with
 #                  the runner's jobs-invariance checks), the trace crate's
-#                  unit tests (JSON reader included), the
+#                  unit tests (JSON reader included), the dormancy-state
+#                  crate's unit tests (its single write path), the build
+#                  driver's unit tests, the
 #                  `quick_`-prefixed subset of the fault-injection
 #                  matrix (cold crash matrix, truncation
 #                  boundaries, recovery counters, durability sync points),
@@ -53,6 +55,11 @@ if [[ "${1:-}" == "--quick" ]]; then
     # The JSON reader every daemon reply and `minicc stats` goes through,
     # including its large multi-byte round-trip.
     cargo test -q -p sfcc-trace
+    # The dormancy state's single write path (StateDb::ingest and the
+    # stamp an optimize task records ahead of the wave commit), and the
+    # build driver's unit tests.
+    cargo test -q -p sfcc-state
+    cargo test -q -p sfcc-buildsys --lib
     cargo test -q -p sfcc --test integration_crash quick_
     cargo test -q -p sfcc --test integration_trace quick_
     cargo test -q -p sfcc --test integration_depcheck quick_

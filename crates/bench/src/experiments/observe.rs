@@ -75,7 +75,7 @@ fn run_arm(commits: usize, traced: bool) -> (u64, BuildReport, Vec<u8>) {
     let config = Scale::Quick.single(DEFAULT_SEED + 80);
     let mut model = generate_model(&config);
     let mut script = EditScript::new(DEFAULT_SEED ^ 0x0b5e_7ab1_e000_0e14);
-    let builder = Builder::new(Compiler::new(Config::stateless().with_jobs(2))).with_jobs(2);
+    let builder = Builder::new(Compiler::new(Config::stateless())).with_jobs(2);
     let mut builder = if traced {
         builder.with_tracing()
     } else {

@@ -162,8 +162,7 @@ pub fn parallel_scaling(scale: Scale) -> (String, String) {
         for point in &mut project_points {
             let snap_before = sfcc_passes::snapshot_stats();
             let mut builder =
-                Builder::new(Compiler::new(Config::stateless().with_jobs(point.jobs)))
-                    .with_jobs(point.jobs);
+                Builder::new(Compiler::new(Config::stateless())).with_jobs(point.jobs);
             let report = builder.build(&standard).expect("generated project builds");
             let snap = sfcc_passes::snapshot_stats().delta_since(&snap_before);
             point.snapshot_clones = snap.clones;

@@ -288,7 +288,8 @@ fn module_grain_cost(
                     .map(|f| f.executed_cost())
                     .sum::<u64>();
             }
-            db.ingest(&trace, pipeline_hash);
+            db.ingest(name, &trace.functions, pipeline_hash);
+            db.retain_functions(name, |f| trace.function(f).is_some());
         }
         total
     };

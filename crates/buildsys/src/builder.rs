@@ -25,10 +25,12 @@
 //! signature edit re-demands only the functions that call it, and a body
 //! edit re-runs exactly one function's pipeline.
 //!
-//! Skip decisions during a build read a state snapshot *frozen* at session
-//! start ([`Compiler::freeze_state`]): per-function trace ingestion mutates
-//! the live database mid-session, and freezing keeps every function's skip
-//! decision — and therefore every byte — independent of demand order.
+//! Dormancy state is read-only while a wave runs: `optimizefn` tasks queue
+//! their traces, and the driver commits them once per module at the wave
+//! boundary ([`Compiler::commit_state`]). Skip decisions read only the
+//! optimized function's own module, and each module belongs to one wave,
+//! so every skip decision — and therefore every byte — is independent of
+//! demand order and `--jobs`.
 //!
 //! The compiler session's dormancy state persists across builds (that is
 //! the paper's point); [`Builder::clear_cache`] drops only the *query
@@ -39,16 +41,14 @@ use crate::depcheck::{self, DepMutations, DepcheckReport};
 use crate::graph::GraphError;
 use crate::project::Project;
 use crate::report::{BuildReport, FngrainStats, ModuleReport, QueryStats};
-use crate::tasks::{BuildSpec, BuildTask, WaveBatch};
+use crate::tasks::{call_closure, BuildSpec, BuildTask, WaveBatch};
 use sfcc::{CompileError, CompileOutput, Compiler};
 use sfcc_backend::LinkError;
-use sfcc_ir::{Function, Op};
 use sfcc_passes::{PassOutcome, PipelineTrace};
 use sfcc_query::{Engine, QueryError};
 use sfcc_trace::{ArgValue, MetricsSnapshot, Registry, SpanId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Instant;
 
 use crate::tasks::BuildValue;
@@ -241,16 +241,6 @@ impl Builder {
     /// for the first module that fails to compile, [`BuildError::Link`] if
     /// the final link fails.
     pub fn build(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
-        // Freeze the dormancy snapshot skip decisions read for the whole
-        // session; per-function ingestion writes the live database. Thawed
-        // on every exit so direct compiles between builds see live state.
-        self.compiler.freeze_state();
-        let result = self.build_inner(project);
-        self.compiler.thaw_state();
-        result
-    }
-
-    fn build_inner(&mut self, project: &Project) -> Result<BuildReport, BuildError> {
         let start = Instant::now();
         let snap_before = sfcc_passes::snapshot_stats();
         let trace_handle = self.tracing.then(sfcc_trace::install);
@@ -331,31 +321,14 @@ impl Builder {
                     continue;
                 }
                 // Union call closure of the stale set from memoized lowerfn
-                // values, sorted by name (a BTreeMap) so the batch module is
-                // identical for every demand order and --jobs value.
-                let mut closure: BTreeMap<String, Arc<Function>> = BTreeMap::new();
-                let mut queue = stale.clone();
-                while let Some(g) = queue.pop() {
-                    if closure.contains_key(&g) {
-                        continue;
-                    }
-                    let func = self
-                        .engine
-                        .require(&mut spec, &BuildTask::LowerFn(name.clone(), g.clone()))
-                        .map_err(seal)?
-                        .expect_lowerfn();
-                    let prefix = format!("{name}.");
-                    for (_, iid) in func.iter_insts() {
-                        if let Op::Call(target) = &func.inst(iid).op {
-                            if let Some(local) = target.strip_prefix(&prefix) {
-                                if !closure.contains_key(local) {
-                                    queue.push(local.to_string());
-                                }
-                            }
-                        }
-                    }
-                    closure.insert(g, func);
-                }
+                // values, sorted by name so the batch module is identical
+                // for every demand order and --jobs value.
+                let closure = call_closure(name, &stale, |g| {
+                    self.engine
+                        .require(&mut spec, &BuildTask::LowerFn(name.clone(), g.to_string()))
+                        .map(|v| v.expect_lowerfn())
+                })
+                .map_err(seal)?;
                 let mut ir = sfcc_ir::Module::new(name.clone());
                 for func in closure.values() {
                     ir.functions.push((**func).clone());
@@ -370,13 +343,18 @@ impl Builder {
             // shared pool when --jobs allows, sequentially otherwise; the
             // same batches either way, so results and traces are identical.
             spec.run_batches(batches);
-            for name in wave {
+            let codegen = wave.iter().try_for_each(|name| {
                 self.engine
                     .require(&mut spec, &BuildTask::Codegen(name.clone()))
-                    .map_err(seal)?;
-            }
-            // Wave boundary: publish this wave's fresh cache entries so the
-            // next wave can hit them — at the same point for every --jobs.
+                    .map(drop)
+            });
+            // Wave boundary: commit the dormancy traces of the wave's
+            // optimizefn tasks — even when a codegen failed, since those
+            // tasks' recorded stamps already assume the commit — then
+            // publish the wave's fresh cache entries so the next wave can
+            // hit them, at the same point for every --jobs.
+            spec.commit_state();
+            codegen.map_err(seal)?;
             spec.flush_cache_inserts();
         }
 

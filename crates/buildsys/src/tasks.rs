@@ -33,7 +33,10 @@
 //! function's check → lower → optimize chain, and cuts off everywhere else.
 //! Dormancy state is a *tracked input* at function grain (`state:m::f`,
 //! stamped via [`Compiler::state_stamp_fn`]), so stale skip decisions
-//! invalidate exactly the functions they would affect.
+//! invalidate exactly the functions they would affect. Task bodies never
+//! write it: an `optimizefn` task records the stamp its trace will leave
+//! and queues the trace, and the driver commits each wave's traces at the
+//! wave boundary ([`BuildSpec::commit_state`]).
 
 use crate::builder::BuildError;
 use crate::depcheck::DepMutations;
@@ -81,7 +84,7 @@ pub enum BuildTask {
     /// Lower one checked function to IR.
     LowerFn(String, String),
     /// Run the (skippable) optimization pipeline for one function and
-    /// ingest its trace.
+    /// queue its trace for the wave's state commit.
     OptimizeFn(String, String),
     /// Compile a module's optimized functions to a relocatable object.
     Codegen(String),
@@ -309,14 +312,19 @@ impl SnapshotTotals {
 /// The [`TaskSpec`] driving one build: a project snapshot, the (stateful)
 /// compiler session, and the scratch the driver reads back afterwards
 /// (per-module phase timings, link time, pre-computed batch artifacts,
-/// deferred function-cache inserts, per-module snapshot-clone totals).
+/// deferred function-cache inserts and dormancy traces, per-module
+/// snapshot-clone totals).
 pub struct BuildSpec<'a> {
     project: &'a Project,
     compiler: &'a mut Compiler,
     prepared: HashMap<(String, String), PreparedFn>,
+    /// Artifacts of the `optimizefn` tasks executed this wave, per module,
+    /// whose traces [`BuildSpec::commit_state`] folds into the dormancy
+    /// state at the wave boundary.
+    pending_state: HashMap<String, Vec<Arc<OptimizeFnArtifact>>>,
     timings: HashMap<String, PhaseTimings>,
-    /// Per-module [`SnapshotTotals`] accumulated by restricted optimization
-    /// runs (batched or solo) this build.
+    /// Per-module [`SnapshotTotals`] accumulated by this build's batched
+    /// restricted optimization runs.
     snapshots: HashMap<String, SnapshotTotals>,
     link_ns: u64,
     jobs: usize,
@@ -351,6 +359,7 @@ impl<'a> BuildSpec<'a> {
             project,
             compiler,
             prepared: HashMap::new(),
+            pending_state: HashMap::new(),
             timings: HashMap::new(),
             snapshots: HashMap::new(),
             link_ns: 0,
@@ -390,13 +399,14 @@ impl<'a> BuildSpec<'a> {
     /// Runs one restricted optimization batch per module of a wave on a
     /// single shared pool of `self.jobs` workers — capped at the host's
     /// available parallelism, inline on this thread when that leaves one
-    /// worker — against the immutable session snapshot, parking each
-    /// stale function's artifact for the matching `optimizefn` execution to
-    /// consume. Batches run *outside* any task scope: their resource
-    /// accesses are deliberately unattributed (each `optimizefn` task notes
-    /// its own `state:m::f` read), and their per-function results are
-    /// byte-identical to solo runs, so parking is a pure latency play.
-    /// Batches are seeded largest-closure-first so big modules start
+    /// worker — parking each stale function's artifact for the matching
+    /// `optimizefn` execution to consume. This is the only place functions
+    /// are optimized; it runs before any of the wave's `optimizefn` tasks,
+    /// and no dormancy write lands before the wave's commit, so every skip
+    /// decision reads the state as the previous wave left it. Batches run
+    /// *outside* any task scope: their resource accesses are deliberately
+    /// unattributed (each `optimizefn` task notes its own `state:m::f`
+    /// read). Batches are seeded largest-closure-first so big modules start
     /// earliest.
     pub(crate) fn run_batches(&mut self, batches: Vec<WaveBatch>) {
         if batches.is_empty() {
@@ -449,6 +459,21 @@ impl<'a> BuildSpec<'a> {
                 .entry(batch.module.clone())
                 .or_default()
                 .absorb(&outcome.trace);
+        }
+    }
+
+    /// Commits the dormancy traces the wave's `optimizefn` tasks queued:
+    /// one [`Compiler::commit_state`] per module, whose time counts toward
+    /// that module's `state_ns`. The driver calls this at wave boundaries.
+    /// Each module belongs to exactly one wave and skip decisions read only
+    /// the optimized function's own module, so no skip decision of this
+    /// build can observe the write.
+    pub(crate) fn commit_state(&mut self) {
+        for (module, arts) in self.pending_state.drain() {
+            let ns = self
+                .compiler
+                .commit_state(&module, arts.iter().map(|art| &art.ftrace));
+            self.timings.entry(module).or_default().state_ns += ns;
         }
     }
 
@@ -538,42 +563,6 @@ impl<'a> BuildSpec<'a> {
         let checked = sfcc_frontend::parse_and_check(m, source, &env, &mut diags)?;
         let ir = sfcc_ir::lower_module(&checked, &env);
         Some(sfcc::fncache::context_fingerprints(&ir))
-    }
-
-    /// Runs one function's restricted optimization on demand (no parked
-    /// batch artifact): the function's own call closure, sequentially.
-    /// Byte-identical to the batched path by construction.
-    fn optimize_solo(
-        &mut self,
-        m: &str,
-        f: &str,
-        closure: &BTreeMap<String, Arc<Function>>,
-    ) -> (Function, FunctionTrace) {
-        let mut ir = sfcc_ir::Module::new(m);
-        for func in closure.values() {
-            ir.functions.push((**func).clone());
-        }
-        let (optimized, outcome) = self.compiler.optimize(&ir, None);
-        let func = optimized
-            .function(f)
-            .cloned()
-            .expect("demanded function present in its own closure");
-        let ftrace = outcome
-            .trace
-            .functions
-            .iter()
-            .find(|t| t.function == f)
-            .cloned()
-            .expect("restricted trace covers the demanded function");
-        self.cache_inserts.extend(outcome.cache_inserts);
-        let timings = self.timings.entry(m.to_string()).or_default();
-        timings.middle_ns += outcome.middle_ns;
-        timings.state_ns += outcome.state_ns;
-        self.snapshots
-            .entry(m.to_string())
-            .or_default()
-            .absorb(&outcome.trace);
-        (func, ftrace)
     }
 }
 
@@ -907,47 +896,27 @@ impl BuildSpec<'_> {
                 Ok(BuildValue::LowerFn(Arc::new(func)))
             }
             BuildTask::OptimizeFn(m, f) => {
-                // The intra-module call closure: pass pipelines may consult
-                // callee bodies (inlining), so every transitively called
-                // local function rides along in the restricted run. Results
-                // for `f` are identical for any module ⊇ closure(f).
-                let mut closure: BTreeMap<String, Arc<Function>> = BTreeMap::new();
-                let mut queue = vec![f.clone()];
-                while let Some(g) = queue.pop() {
-                    if closure.contains_key(&g) {
-                        continue;
-                    }
-                    let func = ctx
-                        .require(self, &BuildTask::LowerFn(m.clone(), g.clone()))?
-                        .expect_lowerfn();
-                    let prefix = format!("{m}.");
-                    for (_, iid) in func.iter_insts() {
-                        if let Op::Call(target) = &func.inst(iid).op {
-                            if let Some(local) = target.strip_prefix(&prefix) {
-                                if !closure.contains_key(local) {
-                                    queue.push(local.to_string());
-                                }
-                            }
-                        }
-                    }
-                    closure.insert(g, func);
-                }
+                // The call closure's lowerfn values are this task's
+                // dependency edges: the wave's batch optimized `f` alongside
+                // every local function it transitively calls.
+                call_closure(m, std::slice::from_ref(f), |g| {
+                    ctx.require(self, &BuildTask::LowerFn(m.clone(), g.to_string()))
+                        .map(|v| v.expect_lowerfn())
+                })?;
                 // The dormancy record is this task's tracked input; this is
                 // its actual read, noted here (not in the batch, which runs
                 // unattributed) so depcheck pins it to this label.
                 sfcc_faultfs::note_access(&format!("state:{m}::{f}"));
-                let parked = self.prepared.remove(&(m.clone(), f.clone()));
-                let (func, ftrace) = match parked {
-                    Some(PreparedFn { func, ftrace }) => (func, ftrace),
-                    None => self.optimize_solo(m, f, &closure),
-                };
-                let ingest_ns = self.compiler.ingest_function_trace(m, &ftrace);
-                self.timings.entry(m.clone()).or_default().state_ns += ingest_ns;
-                // Recorded *after* ingestion, so the dependency holds the
-                // post-write stamp and the task does not invalidate itself.
+                let PreparedFn { func, ftrace } = self
+                    .prepared
+                    .remove(&(m.clone(), f.clone()))
+                    .expect("every executed optimizefn was planned into its wave's batch");
+                // The trace is committed at the wave boundary; the
+                // dependency holds the stamp that commit will leave, so the
+                // task does not invalidate itself.
                 let state_input = format!("state:{m}::{f}");
                 if !self.mutations.drops(label, &state_input) {
-                    let stamp = self.compiler.state_stamp_fn(m, f);
+                    let stamp = self.compiler.state_stamp_after(m, &ftrace);
                     ctx.record_input(&state_input, stamp);
                 }
                 // A shared-store serve is a tracked input of this task: the
@@ -962,10 +931,12 @@ impl BuildSpec<'_> {
                         ctx.record_input(&cas_input, stamps.served);
                     }
                 }
-                Ok(BuildValue::OptimizeFn(Arc::new(OptimizeFnArtifact {
-                    func,
-                    ftrace,
-                })))
+                let art = Arc::new(OptimizeFnArtifact { func, ftrace });
+                self.pending_state
+                    .entry(m.clone())
+                    .or_default()
+                    .push(Arc::clone(&art));
+                Ok(BuildValue::OptimizeFn(art))
             }
             BuildTask::Codegen(m) => {
                 let modcheck = ctx
@@ -1004,6 +975,39 @@ impl BuildSpec<'_> {
             }
         }
     }
+}
+
+/// The intra-module call closure of `roots`: each root plus every local
+/// function it transitively calls, keyed (so sorted) by name. Pass
+/// pipelines may consult callee bodies (inlining), so a function optimizes
+/// identically in any module holding its closure. `lower` demands one
+/// function's `lowerfn` value; those demands are the caller's dependency
+/// edges.
+pub(crate) fn call_closure<E>(
+    module: &str,
+    roots: &[String],
+    mut lower: impl FnMut(&str) -> Result<Arc<Function>, E>,
+) -> Result<BTreeMap<String, Arc<Function>>, E> {
+    let prefix = format!("{module}.");
+    let mut closure: BTreeMap<String, Arc<Function>> = BTreeMap::new();
+    let mut queue = roots.to_vec();
+    while let Some(g) = queue.pop() {
+        if closure.contains_key(&g) {
+            continue;
+        }
+        let func = lower(&g)?;
+        for (_, iid) in func.iter_insts() {
+            if let Op::Call(target) = &func.inst(iid).op {
+                if let Some(local) = target.strip_prefix(&prefix) {
+                    if !closure.contains_key(local) {
+                        queue.push(local.to_string());
+                    }
+                }
+            }
+        }
+        closure.insert(g, func);
+    }
+    Ok(closure)
 }
 
 /// Renders accumulated diagnostics into a [`BuildError::Compile`].

@@ -16,7 +16,6 @@ use sfcc_passes::{
 };
 use sfcc_pool::PoolScope;
 use sfcc_state::{statefile, DecodeError, StateDb};
-use std::collections::HashSet;
 use std::fmt;
 use std::io;
 use std::time::Instant;
@@ -113,22 +112,16 @@ pub fn extract_interface(name: &str, source: &str) -> Result<ModuleInterface, Co
 /// directory on disk): in stateful mode the dormancy database persists
 /// across [`Compiler::compile`] calls and, when
 /// [`Config::state_path`] is set, across sessions via
-/// [`Compiler::save_state`].
+/// [`Compiler::save_state`]. The state is written at sequenced points only,
+/// and always through [`StateDb::ingest`]: after each module in
+/// [`Compiler::compile`], and once per module per wave when an incremental
+/// driver calls [`Compiler::commit_state`]. Optimization itself only reads
+/// it.
 pub struct Compiler {
     config: Config,
     pipeline: Pipeline,
     pipeline_hash: Fingerprint,
     state: StateDb,
-    /// A snapshot of `state` taken at build-session start
-    /// ([`Compiler::freeze_state`]). While present, skip decisions read the
-    /// snapshot and per-function ingests mutate the live database, so no
-    /// optimize task can observe a sibling's same-session ingest — skip
-    /// decisions become independent of demand order and `--jobs`.
-    frozen: Option<StateDb>,
-    /// Modules whose build counter was already bumped this frozen session
-    /// (per-function ingests bump once per module per session, mirroring the
-    /// one bump a whole-module ingest performs).
-    session_bumped: HashSet<String>,
     state_load_error: Option<DecodeError>,
     fn_cache: FunctionCache,
     /// The shared content-addressed artifact store, consulted below the
@@ -195,8 +188,6 @@ impl Compiler {
             pipeline,
             pipeline_hash,
             state,
-            frozen: None,
-            session_bumped: HashSet::new(),
             state_load_error,
             fn_cache,
             cas,
@@ -235,8 +226,9 @@ impl Compiler {
         self.pipeline.slot_names()
     }
 
-    /// Compiles one module, on the configured number of worker threads
-    /// ([`Config::jobs`]).
+    /// Compiles one module and, in stateful mode, folds its pass outcomes
+    /// into the dormancy state (dropping records of functions the module no
+    /// longer defines).
     ///
     /// # Errors
     ///
@@ -253,8 +245,7 @@ impl Compiler {
         let (ir, lower_ns) = phases::lower(&checked, env);
         timings.lower_ns = lower_ns;
 
-        let jobs = sfcc_pool::effective_jobs(self.config.jobs);
-        let (ir, outcome) = sfcc_pool::scope(jobs, |ps| self.optimize(&ir, Some(ps)));
+        let (ir, outcome) = self.optimize(&ir, None);
         timings.middle_ns = outcome.middle_ns;
         timings.state_ns = outcome.state_ns;
 
@@ -262,11 +253,9 @@ impl Compiler {
         timings.backend_ns = backend_ns;
 
         self.apply_cache_inserts(outcome.cache_inserts);
-        if self.config.mode.is_stateful() {
-            let t = Instant::now();
-            self.state.ingest(&outcome.trace, self.pipeline_hash);
-            timings.state_ns += t.elapsed().as_nanos() as u64;
-        }
+        let trace = &outcome.trace;
+        timings.state_ns += self.commit_state(name, &trace.functions);
+        self.retain_state_functions(name, |f| trace.function(f).is_some());
         Ok(CompileOutput {
             object,
             ir,
@@ -428,12 +417,12 @@ impl Compiler {
     /// Phase 3: the (skippable) optimization pipeline, including
     /// function-cache and shared-store lookup when the session has them —
     /// on `pool`'s workers at function granularity when one is supplied.
-    /// Reads the frozen skip state ([`Compiler::freeze_state`]) when one is
-    /// active and mutates nothing: no ingestion, no cache population. The
-    /// returned [`OptimizeOutcome::cache_inserts`] are the caller's to
-    /// apply at a deterministic boundary ([`Compiler::apply_cache_inserts`]),
-    /// so this is safe to call from worker threads optimizing independent
-    /// modules of one wave in parallel.
+    /// Reads the dormancy state and mutates nothing: no ingestion, no cache
+    /// population. The returned [`OptimizeOutcome::cache_inserts`] are the
+    /// caller's to apply at a deterministic boundary
+    /// ([`Compiler::apply_cache_inserts`]), so this is safe to call from
+    /// worker threads optimizing independent modules of one wave in
+    /// parallel.
     pub fn optimize<'env>(
         &'env self,
         ir: &sfcc_ir::Module,
@@ -448,7 +437,7 @@ impl Compiler {
             &mut ir,
             self.config.mode,
             &self.pipeline,
-            self.skip_state(),
+            &self.state,
             options,
             cache,
             self.cas.as_ref(),
@@ -457,54 +446,28 @@ impl Compiler {
         (ir, outcome)
     }
 
-    /// The state skip decisions read from: the frozen session snapshot when
-    /// one is active ([`Compiler::freeze_state`]), the live database
-    /// otherwise.
-    fn skip_state(&self) -> &StateDb {
-        self.frozen.as_ref().unwrap_or(&self.state)
-    }
-
-    /// Freezes a snapshot of the dormancy state for the duration of one
-    /// build session. While frozen, optimize phases consult the snapshot for
-    /// skip decisions and [`Compiler::ingest_function_trace`] mutates only
-    /// the live database — so a function's skip decisions cannot observe a
-    /// sibling's (or its own earlier) same-session ingest, regardless of
-    /// demand order or `--jobs`. Pair with [`Compiler::thaw_state`].
-    pub fn freeze_state(&mut self) {
-        self.frozen = Some(self.state.clone());
-        self.session_bumped.clear();
-    }
-
-    /// Drops the snapshot taken by [`Compiler::freeze_state`]; subsequent
-    /// skip decisions read the live (fully ingested) database again.
-    pub fn thaw_state(&mut self) {
-        self.frozen = None;
-        self.session_bumped.clear();
-    }
-
-    /// Folds one *function's* trace into the dormancy state (stateful mode;
-    /// a no-op otherwise), leaving every sibling record untouched. The
-    /// module's build counter is bumped once per frozen session — the first
-    /// per-function ingest for a module performs the same single bump a
-    /// whole-module ingest ([`StateDb::ingest`]) would, so streak/window
-    /// bookkeeping is identical either way. Returns the time spent (ns).
-    pub fn ingest_function_trace(&mut self, module: &str, ftrace: &FunctionTrace) -> u64 {
+    /// Folds one build's traces of `module`'s functions into the dormancy
+    /// state in one [`StateDb::ingest`] — one build-counter bump per call
+    /// (stateful mode; a no-op otherwise). The build driver calls this once
+    /// per module at the wave boundary. Returns the time spent (ns).
+    pub fn commit_state<'t>(
+        &mut self,
+        module: &str,
+        traces: impl IntoIterator<Item = &'t FunctionTrace>,
+    ) -> u64 {
         if !self.config.mode.is_stateful() {
             return 0;
         }
         let t = Instant::now();
-        if self.session_bumped.insert(module.to_string()) {
-            self.state.bump_build_counter(module);
-        }
-        self.state
-            .ingest_function(module, ftrace, self.pipeline_hash);
+        self.state.ingest(module, traces, self.pipeline_hash);
         t.elapsed().as_nanos() as u64
     }
 
     /// Garbage-collects per-function dormancy records of `module`: drops
     /// every record whose function name fails `keep` (deleted or renamed
-    /// functions). The build driver calls this after a successful build with
-    /// the module's current roster.
+    /// functions). [`Compiler::compile`] calls this with the functions it
+    /// just compiled; the build driver, after a successful build, with the
+    /// module's current roster.
     pub fn retain_state_functions(&mut self, module: &str, keep: impl FnMut(&str) -> bool) {
         self.state.retain_functions(module, keep);
     }
@@ -523,20 +486,28 @@ impl Compiler {
     /// one function — mode, pipeline, and *that function's* dormancy record
     /// only. Incremental engines record it as a tracked input of the
     /// function's optimize task, so stale skip state invalidates exactly the
-    /// functions it would affect. Always
-    /// reads the live database: the function-grained optimize task records
-    /// this stamp immediately after its own ingest, and sibling ingests
-    /// never touch the record, so the stamp the next session recomputes at
-    /// validation time matches byte for byte unless the record itself
-    /// changed.
+    /// functions it would affect. A sibling's commit never touches the
+    /// record, so the stamp only moves when the record itself changes.
     pub fn state_stamp_fn(&self, module: &str, function: &str) -> u64 {
+        self.state_stamp(|| self.state.function_stamp(module, function))
+    }
+
+    /// The [`Compiler::state_stamp_fn`] that `ftrace` leaves once
+    /// [`Compiler::commit_state`] folds it in — what an optimize task
+    /// records as its input stamp, since its trace is committed only at the
+    /// wave boundary.
+    pub fn state_stamp_after(&self, module: &str, ftrace: &FunctionTrace) -> u64 {
+        self.state_stamp(|| Some(self.state.stamp_after(module, ftrace, self.pipeline_hash)))
+    }
+
+    fn state_stamp(&self, record: impl FnOnce() -> Option<u64>) -> u64 {
         let mut repr = format!(
             "mode={};pipeline={:x};",
             self.config.mode.label(),
             self.pipeline_hash.0
         );
         if self.config.mode.is_stateful() {
-            match self.state.function_stamp(module, function) {
+            match record() {
                 Some(stamp) => repr.push_str(&format!("state={stamp:x}")),
                 None => repr.push_str("state=absent"),
             }

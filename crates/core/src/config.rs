@@ -65,10 +65,6 @@ pub struct Config {
     /// see [`crate::fncache`]): functions whose context fingerprint matches
     /// a previous compilation reuse their optimized IR outright.
     pub function_cache: bool,
-    /// Worker threads for function-level parallel optimization (`--jobs`).
-    /// `1` (the default) runs fully sequentially; output is byte-identical
-    /// for every value.
-    pub jobs: usize,
     /// How hard durable writes (state, cache, images) try to survive an
     /// OS-level crash. Both modes are crash-consistent; see
     /// [`Durability`].
@@ -96,7 +92,6 @@ impl Config {
             verify_each: false,
             state_path: None,
             function_cache: false,
-            jobs: 1,
             durability: Durability::Fast,
             cas_path: None,
             cas_budget: None,
@@ -139,13 +134,6 @@ impl Config {
     /// Enables the function-level IR cache.
     pub fn with_function_cache(mut self) -> Self {
         self.function_cache = true;
-        self
-    }
-
-    /// Sets the worker-thread count for function-level parallel
-    /// optimization (floored at 1).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
         self
     }
 

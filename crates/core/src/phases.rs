@@ -109,9 +109,10 @@ enum LookupHit {
 /// dormancy state, and the pass pipeline itself — on `pool`'s workers at
 /// function granularity when one is supplied. Does **not** ingest the trace
 /// or populate the cache — recording dormancy and applying
-/// [`OptimizeOutcome::cache_inserts`] are the caller's (sequenced)
-/// responsibility, so this function can run against immutable state and
-/// cache snapshots on worker threads.
+/// [`OptimizeOutcome::cache_inserts`] are the caller's, at a sequenced
+/// point (after the module in `Compiler::compile`, at the wave boundary in
+/// the incremental driver), so this function runs against state and cache
+/// that stay unchanged while it runs, on worker threads or not.
 ///
 /// Makes no resource-access note for the dormancy state: the
 /// function-grained `optimizefn` task notes its own per-function read

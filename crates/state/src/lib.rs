@@ -50,34 +50,24 @@ pub use stats::{DormancyProfile, PassDormancy, StabilityTracker};
 mod integration {
     use super::*;
     use sfcc_ir::Fingerprint;
-    use sfcc_passes::{
-        FunctionTrace, PassOutcome, PassQuery, PassRecord, PipelineTrace, SkipOracle,
-    };
+    use sfcc_passes::{FunctionTrace, PassOutcome, PassQuery, PassRecord, SkipOracle};
 
-    fn trace(func: &str, outcomes: &[PassOutcome]) -> PipelineTrace {
-        PipelineTrace {
-            module: "m".into(),
-            functions: vec![FunctionTrace {
-                function: func.into(),
-                entry_fingerprint: Fingerprint(1),
-                exit_fingerprint: Fingerprint(2),
-                records: outcomes
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &outcome)| PassRecord {
-                        pass: format!("pass{slot}"),
-                        slot,
-                        outcome,
-                        nanos: 1,
-                        cost_units: 1,
-                    })
-                    .collect(),
-            }],
-            snapshot_clones: 0,
-            snapshot_cost_units: 0,
-            snapshot_reused: 0,
-            batch_count: 0,
-            batch_max_cost: 0,
+    fn trace(func: &str, outcomes: &[PassOutcome]) -> FunctionTrace {
+        FunctionTrace {
+            function: func.into(),
+            entry_fingerprint: Fingerprint(1),
+            exit_fingerprint: Fingerprint(2),
+            records: outcomes
+                .iter()
+                .enumerate()
+                .map(|(slot, &outcome)| PassRecord {
+                    pass: format!("pass{slot}"),
+                    slot,
+                    outcome,
+                    nanos: 1,
+                    cost_units: 1,
+                })
+                .collect(),
         }
     }
 
@@ -86,7 +76,8 @@ mod integration {
         let hash = StateDb::pipeline_hash(&["pass0", "pass1"]);
         let mut db = StateDb::new();
         db.ingest(
-            &trace("f", &[PassOutcome::Dormant, PassOutcome::Active]),
+            "m",
+            [&trace("f", &[PassOutcome::Dormant, PassOutcome::Active])],
             hash,
         );
 
@@ -109,7 +100,8 @@ mod integration {
 
         // Ingest the skipped build and survive a disk round-trip.
         db.ingest(
-            &trace("f", &[PassOutcome::Skipped, PassOutcome::Active]),
+            "m",
+            [&trace("f", &[PassOutcome::Skipped, PassOutcome::Active])],
             hash,
         );
         let back = statefile::from_bytes(&statefile::to_bytes(&db)).unwrap();

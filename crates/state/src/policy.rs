@@ -124,36 +124,28 @@ impl<'a> SkipOracle for DbOracle<'a> {
 mod tests {
     use super::*;
     use sfcc_ir::Fingerprint;
-    use sfcc_passes::{FunctionTrace, PassOutcome, PassRecord, PipelineTrace};
+    use sfcc_passes::{FunctionTrace, PassOutcome, PassRecord};
 
     fn db_with(outcome_rounds: &[&[PassOutcome]]) -> StateDb {
         let mut db = StateDb::new();
         for outcomes in outcome_rounds {
-            let trace = PipelineTrace {
-                module: "m".into(),
-                functions: vec![FunctionTrace {
-                    function: "f".into(),
-                    entry_fingerprint: Fingerprint(1),
-                    exit_fingerprint: Fingerprint(1),
-                    records: outcomes
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, &outcome)| PassRecord {
-                            pass: format!("p{slot}"),
-                            slot,
-                            outcome,
-                            nanos: 0,
-                            cost_units: 0,
-                        })
-                        .collect(),
-                }],
-                snapshot_clones: 0,
-                snapshot_cost_units: 0,
-                snapshot_reused: 0,
-                batch_count: 0,
-                batch_max_cost: 0,
+            let trace = FunctionTrace {
+                function: "f".into(),
+                entry_fingerprint: Fingerprint(1),
+                exit_fingerprint: Fingerprint(1),
+                records: outcomes
+                    .iter()
+                    .enumerate()
+                    .map(|(slot, &outcome)| PassRecord {
+                        pass: format!("p{slot}"),
+                        slot,
+                        outcome,
+                        nanos: 0,
+                        cost_units: 0,
+                    })
+                    .collect(),
             };
-            db.ingest(&trace, Fingerprint(9));
+            db.ingest("m", [&trace], Fingerprint(9));
         }
         db
     }

@@ -6,7 +6,7 @@
 //! been dormant — enough to drive every skip policy in the evaluation.
 
 use sfcc_ir::Fingerprint;
-use sfcc_passes::{FunctionTrace, PassOutcome, PipelineTrace};
+use sfcc_passes::{FunctionTrace, PassOutcome};
 use std::collections::HashMap;
 
 /// Per-(function, slot) dormancy state.
@@ -156,44 +156,21 @@ impl StateDb {
         Fingerprint::of_str(&slot_names.join("\u{1f}"))
     }
 
-    /// Folds one build's [`PipelineTrace`] into the database.
+    /// Folds one build's traces of `module_name`'s functions into the
+    /// database — the one method that writes function records.
     ///
+    /// * A pipeline-hash mismatch resets the module before ingesting.
+    /// * The module's build counter advances once per call, so a driver
+    ///   commits each module's traces of one build in a single call.
     /// * Skipped slots extend their dormant streak (the skip presumed
     ///   dormancy) and bump the skip counter.
-    /// * Function records absent from the trace are dropped (garbage
-    ///   collection of deleted functions).
-    /// * A pipeline-hash mismatch resets the module before ingesting.
-    pub fn ingest(&mut self, trace: &PipelineTrace, pipeline_hash: Fingerprint) {
-        let module = self.modules.entry(trace.module.clone()).or_default();
-        if module.pipeline_hash != pipeline_hash {
-            module.functions.clear();
-            module.pipeline_hash = pipeline_hash;
-        }
-        module.build_counter += 1;
-        let build = module.build_counter;
-
-        let mut fresh: HashMap<String, FunctionRecord> = HashMap::new();
-        for ftrace in &trace.functions {
-            let old = module.functions.get(&ftrace.function);
-            fresh.insert(ftrace.function.clone(), merge(old, ftrace, build));
-        }
-        module.functions = fresh;
-    }
-
-    /// Folds a single function's trace into `module_name`'s state, leaving
-    /// every sibling record untouched (no garbage collection — callers that
-    /// ingest function-by-function GC deleted functions explicitly with
-    /// [`StateDb::retain_functions`]).
-    ///
-    /// The module's build counter is *not* bumped here; drivers bump it once
-    /// per build session via [`StateDb::bump_build_counter`] so that
-    /// per-function ingest order cannot influence any stamp.
-    ///
-    /// A pipeline-hash mismatch resets the module before ingesting.
-    pub fn ingest_function(
+    /// * Records of functions absent from `traces` are left untouched;
+    ///   deleted functions are garbage-collected explicitly with
+    ///   [`StateDb::retain_functions`].
+    pub fn ingest<'t>(
         &mut self,
         module_name: &str,
-        ftrace: &FunctionTrace,
+        traces: impl IntoIterator<Item = &'t FunctionTrace>,
         pipeline_hash: Fingerprint,
     ) {
         let module = self.modules.entry(module_name.to_string()).or_default();
@@ -201,25 +178,35 @@ impl StateDb {
             module.functions.clear();
             module.pipeline_hash = pipeline_hash;
         }
+        module.build_counter += 1;
         let build = module.build_counter;
-        let old = module.functions.get(&ftrace.function);
-        let fresh = merge(old, ftrace, build);
-        module.functions.insert(ftrace.function.clone(), fresh);
+        for ftrace in traces {
+            let fresh = merge(module.functions.get(&ftrace.function), ftrace, build);
+            module.functions.insert(ftrace.function.clone(), fresh);
+        }
     }
 
-    /// Advances `module_name`'s build counter by one, creating the module
-    /// entry if needed, and returns the new value. Companion to
-    /// [`StateDb::ingest_function`].
-    pub fn bump_build_counter(&mut self, module_name: &str) -> u64 {
-        let module = self.modules.entry(module_name.to_string()).or_default();
-        module.build_counter += 1;
-        module.build_counter
+    /// The [`FunctionRecord::content_stamp`] of the record
+    /// [`StateDb::ingest`] will write for `ftrace` — what
+    /// [`StateDb::function_stamp`] returns once it is committed. Lets a
+    /// driver that defers its writes know the stamp ahead of the write.
+    pub fn stamp_after(
+        &self,
+        module_name: &str,
+        ftrace: &FunctionTrace,
+        pipeline_hash: Fingerprint,
+    ) -> u64 {
+        let old = self
+            .modules
+            .get(module_name)
+            .filter(|m| m.pipeline_hash == pipeline_hash)
+            .and_then(|m| m.functions.get(&ftrace.function));
+        // The build counter is not part of the content stamp.
+        merge(old, ftrace, 0).content_stamp()
     }
 
     /// Drops function records of `module_name` whose names fail `keep` —
-    /// the explicit garbage-collection companion to
-    /// [`StateDb::ingest_function`] (whole-module [`StateDb::ingest`] GCs
-    /// implicitly by rebuilding the record map from the trace).
+    /// the garbage-collection companion to [`StateDb::ingest`].
     pub fn retain_functions(&mut self, module_name: &str, mut keep: impl FnMut(&str) -> bool) {
         if let Some(module) = self.modules.get_mut(module_name) {
             module.functions.retain(|name, _| keep(name));
@@ -300,31 +287,28 @@ mod tests {
     use super::*;
     use sfcc_passes::PassRecord;
 
-    fn trace_of(module: &str, func: &str, outcomes: &[PassOutcome]) -> PipelineTrace {
-        PipelineTrace {
-            module: module.to_string(),
-            functions: vec![FunctionTrace {
-                function: func.to_string(),
-                entry_fingerprint: Fingerprint(1),
-                exit_fingerprint: Fingerprint(2),
-                records: outcomes
-                    .iter()
-                    .enumerate()
-                    .map(|(slot, &outcome)| PassRecord {
-                        pass: format!("p{slot}"),
-                        slot,
-                        outcome,
-                        nanos: 1,
-                        cost_units: 1,
-                    })
-                    .collect(),
-            }],
-            snapshot_clones: 0,
-            snapshot_cost_units: 0,
-            snapshot_reused: 0,
-            batch_count: 0,
-            batch_max_cost: 0,
+    fn trace_of(func: &str, outcomes: &[PassOutcome]) -> FunctionTrace {
+        FunctionTrace {
+            function: func.to_string(),
+            entry_fingerprint: Fingerprint(1),
+            exit_fingerprint: Fingerprint(2),
+            records: outcomes
+                .iter()
+                .enumerate()
+                .map(|(slot, &outcome)| PassRecord {
+                    pass: format!("p{slot}"),
+                    slot,
+                    outcome,
+                    nanos: 1,
+                    cost_units: 1,
+                })
+                .collect(),
         }
+    }
+
+    /// Ingests one function's trace as a build of its own.
+    fn ingest_one(db: &mut StateDb, module: &str, func: &str, outcomes: &[PassOutcome]) {
+        db.ingest(module, [&trace_of(func, outcomes)], HASH);
     }
 
     const HASH: Fingerprint = Fingerprint(99);
@@ -332,9 +316,11 @@ mod tests {
     #[test]
     fn ingest_creates_records() {
         let mut db = StateDb::new();
-        db.ingest(
-            &trace_of("m", "f", &[PassOutcome::Active, PassOutcome::Dormant]),
-            HASH,
+        ingest_one(
+            &mut db,
+            "m",
+            "f",
+            &[PassOutcome::Active, PassOutcome::Dormant],
         );
         let rec = &db.module("m").unwrap().functions["f"];
         assert!(!rec.is_dormant(0));
@@ -347,18 +333,18 @@ mod tests {
     fn streaks_accumulate_and_reset() {
         let mut db = StateDb::new();
         for _ in 0..3 {
-            db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), HASH);
+            ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
         }
         assert_eq!(db.module("m").unwrap().functions["f"].streak(0), 3);
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Active]), HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Active]);
         assert_eq!(db.module("m").unwrap().functions["f"].streak(0), 0);
     }
 
     #[test]
     fn skip_extends_streak_and_counts() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), HASH);
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Skipped]), HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Skipped]);
         let rec = &db.module("m").unwrap().functions["f"];
         assert!(rec.is_dormant(0));
         assert_eq!(rec.streak(0), 2);
@@ -368,8 +354,9 @@ mod tests {
     #[test]
     fn deleted_functions_are_garbage_collected() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), HASH);
-        db.ingest(&trace_of("m", "g", &[PassOutcome::Dormant]), HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
+        ingest_one(&mut db, "m", "g", &[PassOutcome::Dormant]);
+        db.retain_functions("m", |name| name == "g");
         assert!(!db.module("m").unwrap().functions.contains_key("f"));
         assert!(db.module("m").unwrap().functions.contains_key("g"));
     }
@@ -377,9 +364,13 @@ mod tests {
     #[test]
     fn pipeline_change_resets_module() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
         assert_eq!(db.module("m").unwrap().functions["f"].streak(0), 1);
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), Fingerprint(7));
+        db.ingest(
+            "m",
+            [&trace_of("f", &[PassOutcome::Dormant])],
+            Fingerprint(7),
+        );
         // Reset: streak restarts at 1, not 2.
         assert_eq!(db.module("m").unwrap().functions["f"].streak(0), 1);
     }
@@ -387,10 +378,17 @@ mod tests {
     #[test]
     fn build_counter_increments() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[]), HASH);
-        db.ingest(&trace_of("m", "f", &[]), HASH);
+        ingest_one(&mut db, "m", "f", &[]);
+        ingest_one(&mut db, "m", "f", &[]);
         assert_eq!(db.module("m").unwrap().build_counter, 2);
         assert_eq!(db.module("m").unwrap().functions["f"].last_build, 2);
+        // One call is one build, however many functions it carries.
+        let (f, g) = (trace_of("f", &[]), trace_of("g", &[]));
+        db.ingest("m", [&f, &g], HASH);
+        let module = db.module("m").unwrap();
+        assert_eq!(module.build_counter, 3);
+        assert_eq!(module.functions["f"].last_build, 3);
+        assert_eq!(module.functions["g"].last_build, 3);
     }
 
     #[test]
@@ -403,38 +401,25 @@ mod tests {
     }
 
     #[test]
-    fn ingest_function_leaves_siblings_alone() {
+    fn ingest_leaves_siblings_alone() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), HASH);
-        let g = trace_of("m", "g", &[PassOutcome::Active]);
-        db.ingest_function("m", &g.functions[0], HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
+        let before = db.module("m").unwrap().functions["f"].clone();
+        ingest_one(&mut db, "m", "g", &[PassOutcome::Active]);
         let module = db.module("m").unwrap();
-        assert!(module.functions.contains_key("f"), "sibling survives");
+        assert_eq!(module.functions["f"], before, "sibling survives unchanged");
         assert!(module.functions.contains_key("g"));
     }
 
     #[test]
-    fn ingest_function_merges_like_whole_module_ingest() {
-        let mut whole = StateDb::new();
-        let mut fngrain = StateDb::new();
-        for outcome in [PassOutcome::Dormant, PassOutcome::Skipped] {
-            let t = trace_of("m", "f", &[outcome]);
-            whole.ingest(&t, HASH);
-            fngrain.bump_build_counter("m");
-            fngrain.ingest_function("m", &t.functions[0], HASH);
-        }
-        assert_eq!(
-            whole.module("m").unwrap().functions["f"],
-            fngrain.module("m").unwrap().functions["f"],
-        );
-    }
-
-    #[test]
-    fn ingest_function_pipeline_mismatch_resets_module() {
+    fn ingest_pipeline_mismatch_drops_sibling_records() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("m", "f", &[PassOutcome::Dormant]), HASH);
-        let g = trace_of("m", "g", &[PassOutcome::Dormant]);
-        db.ingest_function("m", &g.functions[0], Fingerprint(7));
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
+        db.ingest(
+            "m",
+            [&trace_of("g", &[PassOutcome::Dormant])],
+            Fingerprint(7),
+        );
         let module = db.module("m").unwrap();
         assert!(!module.functions.contains_key("f"), "old pipeline cleared");
         assert_eq!(module.functions["g"].streak(0), 1);
@@ -443,10 +428,11 @@ mod tests {
     #[test]
     fn retain_functions_gcs_deleted_names() {
         let mut db = StateDb::new();
-        let f = trace_of("m", "f", &[PassOutcome::Dormant]);
-        let g = trace_of("m", "g", &[PassOutcome::Dormant]);
-        db.ingest_function("m", &f.functions[0], HASH);
-        db.ingest_function("m", &g.functions[0], HASH);
+        let (f, g) = (
+            trace_of("f", &[PassOutcome::Dormant]),
+            trace_of("g", &[PassOutcome::Dormant]),
+        );
+        db.ingest("m", [&f, &g], HASH);
         db.retain_functions("m", |name| name == "g");
         assert!(!db.module("m").unwrap().functions.contains_key("f"));
         assert!(db.module("m").unwrap().functions.contains_key("g"));
@@ -456,12 +442,12 @@ mod tests {
     fn function_stamp_ignores_build_counters() {
         let mut a = StateDb::new();
         let mut b = StateDb::new();
-        let t = trace_of("m", "f", &[PassOutcome::Dormant]);
-        a.ingest_function("m", &t.functions[0], HASH);
+        let t = trace_of("f", &[PassOutcome::Dormant]);
+        a.ingest("m", [&t], HASH);
         for _ in 0..5 {
-            b.bump_build_counter("m");
+            b.ingest("m", [], HASH);
         }
-        b.ingest_function("m", &t.functions[0], HASH);
+        b.ingest("m", [&t], HASH);
         assert_eq!(
             a.function_stamp("m", "f").unwrap(),
             b.function_stamp("m", "f").unwrap(),
@@ -474,19 +460,49 @@ mod tests {
     #[test]
     fn function_stamp_tracks_slot_content() {
         let mut db = StateDb::new();
-        let t = trace_of("m", "f", &[PassOutcome::Dormant]);
-        db.ingest_function("m", &t.functions[0], HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
         let before = db.function_stamp("m", "f").unwrap();
-        db.ingest_function("m", &t.functions[0], HASH);
+        ingest_one(&mut db, "m", "f", &[PassOutcome::Dormant]);
         let after = db.function_stamp("m", "f").unwrap();
         assert_ne!(before, after, "streak growth is skip-relevant content");
     }
 
     #[test]
+    fn stamp_after_matches_the_committed_record() {
+        let mut db = StateDb::new();
+        let (f, g) = (
+            trace_of("f", &[PassOutcome::Dormant, PassOutcome::Active]),
+            trace_of("g", &[PassOutcome::Active, PassOutcome::Dormant]),
+        );
+        db.ingest("m", [&f, &g], HASH);
+        let next = trace_of("f", &[PassOutcome::Skipped, PassOutcome::Dormant]);
+        for hash in [HASH, Fingerprint(7)] {
+            let mut committed = db.clone();
+            let predicted = db.stamp_after("m", &next, hash);
+            committed.ingest("m", [&next], hash);
+            assert_eq!(
+                Some(predicted),
+                committed.function_stamp("m", "f"),
+                "pipeline hash {hash:?}"
+            );
+        }
+        // A mismatched hash predicts a fresh record, not a merged one.
+        assert_ne!(
+            db.stamp_after("m", &next, HASH),
+            db.stamp_after("m", &next, Fingerprint(7))
+        );
+        // Unknown modules and functions predict a fresh record too.
+        let mut fresh = StateDb::new();
+        let predicted = fresh.stamp_after("new", &next, HASH);
+        fresh.ingest("new", [&next], HASH);
+        assert_eq!(Some(predicted), fresh.function_stamp("new", "f"));
+    }
+
+    #[test]
     fn modules_are_independent() {
         let mut db = StateDb::new();
-        db.ingest(&trace_of("a", "f", &[PassOutcome::Dormant]), HASH);
-        db.ingest(&trace_of("b", "f", &[PassOutcome::Active]), HASH);
+        ingest_one(&mut db, "a", "f", &[PassOutcome::Dormant]);
+        ingest_one(&mut db, "b", "f", &[PassOutcome::Active]);
         assert!(db.module("a").unwrap().functions["f"].is_dormant(0));
         assert!(!db.module("b").unwrap().functions["f"].is_dormant(0));
     }

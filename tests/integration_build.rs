@@ -155,3 +155,87 @@ fn committed_demo_project_builds_and_runs() {
     let again = builder.build(&project).unwrap();
     assert!(again.outcome_totals().2 > 0);
 }
+
+/// Optimize tasks record the `state:m::f` stamp their trace will leave, and
+/// the driver commits the traces at the wave boundary. If the recorded
+/// stamp disagreed with the committed record, every re-optimized function
+/// would invalidate itself on the next build; so after every commit of an
+/// edit script, a no-op rebuild must miss nothing and leave the state
+/// bytes untouched — at every `--jobs` value.
+#[test]
+fn wave_commits_leave_noop_rebuilds_clean_across_jobs() {
+    for jobs in [1usize, 4] {
+        let mut model = generate_model(&GeneratorConfig::small(12));
+        let mut script = EditScript::new(9);
+        let mut builder =
+            Builder::new(Compiler::new(Config::stateful().with_function_cache())).with_jobs(jobs);
+        for commit in 0..6 {
+            if commit > 0 {
+                script.commit(&mut model);
+            }
+            let project = model.render();
+            let report = builder.build(&project).unwrap();
+            assert!(
+                report.metrics.scalar("build.waves").unwrap() > 1,
+                "the project must span several waves"
+            );
+            let state = builder.compiler().state_bytes();
+            let noop = builder.build(&project).unwrap();
+            assert_eq!(noop.query.misses, 0, "jobs {jobs}, commit {commit}");
+            assert_eq!(noop.rebuilt_count(), 0, "jobs {jobs}, commit {commit}");
+            assert_eq!(
+                builder.compiler().state_bytes(),
+                state,
+                "jobs {jobs}, commit {commit}: a no-op rebuild wrote state"
+            );
+        }
+    }
+}
+
+/// A build that fails in a later wave still commits the dormancy records
+/// of the waves before it: their optimize tasks are memoized with the
+/// post-commit stamps, so the repaired build re-executes none of them.
+#[test]
+fn failed_build_keeps_earlier_waves_state_commits() {
+    let base_v1 = "fn g(x: int) -> int { return x * 2; }";
+    let lib_ok = "import base;\nfn f(x: int) -> int { return base::g(x) + 1; }";
+    let mut p = Project::new();
+    p.set_file("base".into(), base_v1.into());
+    p.set_file("lib".into(), lib_ok.into());
+    p.set_file(
+        "main".into(),
+        "import lib;\nfn main(n: int) -> int { return lib::f(n); }".into(),
+    );
+    let mut builder = Builder::new(Compiler::new(Config::stateful()));
+    builder.build(&p).unwrap();
+    let counter = |b: &Builder| b.compiler().state().module("base").unwrap().build_counter;
+    assert_eq!(counter(&builder), 1);
+    let stamp_before = builder.compiler().state_stamp_fn("base", "g");
+
+    // Wave 0 (base) re-optimizes g; wave 1 (lib) fails type checking.
+    p.set_file(
+        "base".into(),
+        "fn g(x: int) -> int { return x * 3; }".into(),
+    );
+    p.set_file(
+        "lib".into(),
+        "import base;\nfn f(x: int) -> int { return base::g(x, x) + 1; }".into(),
+    );
+    match builder.build(&p).unwrap_err() {
+        sfcc_buildsys::BuildError::Compile { module, .. } => assert_eq!(module, "lib"),
+        other => panic!("expected lib to fail compiling, got {other}"),
+    }
+    assert_eq!(counter(&builder), 2, "wave 0's commit landed");
+    assert_ne!(builder.compiler().state_stamp_fn("base", "g"), stamp_before);
+
+    // The repaired build re-executes nothing of wave 0.
+    p.set_file("lib".into(), lib_ok.into());
+    let report = builder.build(&p).unwrap();
+    assert!(!report.module("base").unwrap().rebuilt);
+    assert!(
+        !report.query.executed.iter().any(|t| t.contains("base::")),
+        "wave-0 function task re-executed: {:?}",
+        report.query.executed
+    );
+    assert_eq!(counter(&builder), 2);
+}

@@ -567,7 +567,7 @@ fn quick_jobs_invariance_over_a_partially_warm_store() {
 
     for jobs in [1, 2, 8] {
         let (c, report) = build(
-            Config::stateless().with_cas_path(&store).with_jobs(jobs),
+            Config::stateless().with_cas_path(&store),
             &project_v1_edit(),
             jobs,
         );

@@ -178,8 +178,9 @@ fn fngrain_incremental_builds_are_byte_identical_across_jobs() {
 fn stateful_fngrain_replay_is_deterministic_across_jobs() {
     // Same discipline under dormancy skipping and the function cache: the
     // builds may legally differ from stateless ones, but must be identical
-    // across --jobs (the frozen-state snapshot plus wave-batched restricted
-    // runs make skip decisions demand-order independent).
+    // across --jobs (dormancy state is read-only within a wave and
+    // committed at its boundary, and wave-batched restricted runs make skip
+    // decisions demand-order independent).
     const N: usize = 16;
     let edits: [fn(usize) -> Project; 3] = [wide_project, with_body_edit, with_signature_edit];
     let mut images: Vec<Vec<Vec<u8>>> = Vec::new();

@@ -25,8 +25,7 @@ fn scratch_dir(tag: &str) -> PathBuf {
 fn builder_with(jobs: usize, dir: &Path, tag: &str) -> Builder {
     let config = Config::stateful()
         .with_state_path(dir.join(format!("{tag}.state")))
-        .with_function_cache()
-        .with_jobs(jobs);
+        .with_function_cache();
     Builder::new(Compiler::new(config)).with_jobs(jobs)
 }
 

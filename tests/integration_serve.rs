@@ -221,11 +221,10 @@ fn artifacts(dir: &Path) -> Artifacts {
     }
 }
 
-fn warm_config(dir: &Path, jobs: usize, cas: Option<&Path>) -> Config {
+fn warm_config(dir: &Path, cas: Option<&Path>) -> Config {
     let mut config = Config::stateful()
         .with_state_path(dir.join(".sfcc-state"))
-        .with_function_cache()
-        .with_jobs(jobs);
+        .with_function_cache();
     if let Some(cas) = cas {
         config = config.with_cas_path(cas.to_path_buf());
     }
@@ -244,7 +243,7 @@ impl Oracle {
     fn new(dir: &Path, jobs: usize, cas: Option<&Path>) -> Oracle {
         Oracle {
             dir: dir.to_path_buf(),
-            builder: Builder::new(Compiler::new(warm_config(dir, jobs, cas))).with_jobs(jobs),
+            builder: Builder::new(Compiler::new(warm_config(dir, cas))).with_jobs(jobs),
         }
     }
 
@@ -262,7 +261,7 @@ impl Oracle {
 /// One *cold* session: a fresh builder, engine empty — the in-process
 /// equivalent of one `minicc build --stateful --fn-cache` invocation.
 fn cold_session(dir: &Path, jobs: usize) -> BuildReport {
-    let mut builder = Builder::new(Compiler::new(warm_config(dir, jobs, None))).with_jobs(jobs);
+    let mut builder = Builder::new(Compiler::new(warm_config(dir, None))).with_jobs(jobs);
     let p = Project::from_dir(dir).unwrap();
     let mut report = builder.build(&p).unwrap();
     report.state_generation = builder.compiler().save_state().unwrap();

@@ -43,7 +43,7 @@ fn three_module_project() -> Project {
 }
 
 fn traced_builder(jobs: usize) -> Builder {
-    Builder::new(Compiler::new(Config::stateless().with_jobs(jobs)))
+    Builder::new(Compiler::new(Config::stateless()))
         .with_jobs(jobs)
         .with_tracing()
 }
@@ -273,8 +273,7 @@ fn quick_report_numerics_equal_metrics_registry() {
 fn stateful_builder(dir: &Path, tag: &str, traced: bool) -> Builder {
     let config = Config::stateful()
         .with_state_path(dir.join(format!("{tag}.state")))
-        .with_function_cache()
-        .with_jobs(2);
+        .with_function_cache();
     let builder = Builder::new(Compiler::new(config)).with_jobs(2);
     if traced {
         builder.with_tracing()
